@@ -60,8 +60,8 @@ class EchoProtocol : public kcore::distsim::Protocol {
   void Round(kcore::distsim::NodeContext& ctx) override {
     double sum = 0.0;
     for (std::size_t i = 0; i < ctx.neighbors().size(); ++i) {
-      const kcore::distsim::Payload* p = ctx.NeighborBroadcast(i);
-      if (p != nullptr) sum += (*p)[0];
+      const kcore::distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+      if (p) sum += p[0];
     }
     benchmark::DoNotOptimize(sum);
     ctx.Broadcast({1.0});

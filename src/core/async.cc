@@ -72,9 +72,10 @@ AsyncResult RunAsyncCoreness(const graph::Graph& g, util::Rng& rng,
     const auto nbrs = g.Neighbors(v);
     double nb = 0.0;
     if (!nbrs.empty()) {
-      std::vector<double> weights(nbrs.size());
+      const std::span<double> weights =
+          core::ThreadUpdateInputs(nbrs.size()).weights;
       for (std::size_t i = 0; i < nbrs.size(); ++i) weights[i] = nbrs[i].w;
-      nb = core::UpdateStep(view[v], weights, order[v]).b;
+      nb = core::UpdateStep(view[v], weights, order[v]);
     }
     if (nb >= out.b[v]) return;  // monotone descent only
     out.b[v] = nb;

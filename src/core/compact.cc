@@ -12,7 +12,6 @@
 namespace kcore::core {
 
 using distsim::NodeContext;
-using distsim::Payload;
 using graph::NodeId;
 
 int RoundsForGamma(NodeId n, double gamma) {
@@ -44,14 +43,12 @@ CompactElimination::CompactElimination(const graph::Graph& g,
   const NodeId n = g.num_nodes();
   b_.assign(n, std::numeric_limits<double>::infinity());
   order_.resize(n);
-  scratch_values_.resize(n);
   last_change_.assign(n, 0);
   if (opts_.track_orientation) in_sets_.resize(n);
   for (NodeId v = 0; v < n; ++v) {
     const auto deg = g.Degree(v);
     order_[v].resize(deg);
     std::iota(order_[v].begin(), order_[v].end(), 0u);  // id order (sorted)
-    scratch_values_[v].resize(deg);
     if (opts_.track_orientation) {
       // N_v starts as all neighbors (Algorithm 2, line 1).
       in_sets_[v].resize(deg);
@@ -82,30 +79,29 @@ void CompactElimination::Round(NodeContext& ctx) {
 
   // Gather the neighbors' surviving numbers. In this protocol every node
   // broadcasts every round, so a missing broadcast is a bug.
-  auto& values = scratch_values_[v];
-  std::vector<double> weights(d);
+  const UpdateInputs in = ThreadUpdateInputs(d);
   for (std::size_t i = 0; i < d; ++i) {
-    const Payload* p = ctx.NeighborBroadcast(i);
-    KCORE_CHECK_MSG(p != nullptr && !p->empty(),
+    const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+    KCORE_CHECK_MSG(p && !p.empty(),
                     "missing broadcast from neighbor of " << v);
-    values[i] = (*p)[0];
-    weights[i] = nbrs[i].w;
+    in.values[i] = p[0];
+    in.weights[i] = nbrs[i].w;
   }
 
   if (!opts_.stateful_tiebreak) {
     std::iota(order_[v].begin(), order_[v].end(), 0u);
   }
-  UpdateResult res = UpdateStep(values, weights, order_[v]);
-  double nb = res.b;
+  // N_v is written straight into in_sets_[v] (reusing its storage), and
+  // only when orientation is tracked.
+  std::vector<std::uint32_t>* chosen =
+      opts_.track_orientation ? &in_sets_[v] : nullptr;
+  double nb = UpdateStep(in.values, in.weights, order_[v], chosen);
   if (opts_.lambda > 0.0) nb = RoundDownToPower(nb, opts_.lambda);
   if (nb != b_[v]) {
     b_[v] = nb;
     last_change_[v] = ctx.round();
   }
-  if (opts_.track_orientation) {
-    std::sort(res.chosen.begin(), res.chosen.end());
-    in_sets_[v] = std::move(res.chosen);
-  }
+  if (chosen != nullptr) std::sort(chosen->begin(), chosen->end());
   ctx.Broadcast({b_[v]});
 }
 
@@ -131,8 +127,6 @@ void CompactElimination::LoadNodeState(NodeId v, util::WireReader& in) {
     in_sets_[v].resize(in.Varint());
     for (std::uint32_t& i : in_sets_[v]) i = in.Fixed32();
   }
-  // scratch_values_[v] is sized in the constructor and content-free
-  // between rounds — nothing to restore.
 }
 
 CompactResult RunCompactElimination(const graph::Graph& g,

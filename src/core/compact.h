@@ -84,8 +84,7 @@ class CompactElimination : public distsim::Protocol {
 
   // Per-rank compute support: a node's state is its surviving number,
   // its last-change round, its tie-break permutation, and (when
-  // orientation is tracked) its in-neighbor set. scratch_values_ is
-  // rebuilt, not shipped.
+  // orientation is tracked) its in-neighbor set.
   bool SupportsRankCompute() const override { return true; }
   void SaveNodeState(graph::NodeId v, util::WireAppender& out) const override;
   void LoadNodeState(graph::NodeId v, util::WireReader& in) override;
@@ -107,8 +106,6 @@ class CompactElimination : public distsim::Protocol {
   std::vector<std::vector<std::uint32_t>> order_;
   std::vector<std::vector<std::uint32_t>> in_sets_;
   std::vector<int> last_change_;
-  // Scratch, indexed per node to stay race-free under threading.
-  std::vector<std::vector<double>> scratch_values_;
 };
 
 struct CompactResult {

@@ -58,10 +58,10 @@ class BfsForestProtocol : public distsim::Protocol {
       NodeId best_id = leader_id_[v];
       NodeId via = graph::kInvalidNode;
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const Payload* p = ctx.NeighborBroadcast(i);
-        if (p == nullptr || p->size() < 2) continue;
-        const double nb = (*p)[0];
-        const NodeId nid = static_cast<NodeId>((*p)[1]);
+        const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+        if (!p || p.size() < 2) continue;
+        const double nb = p[0];
+        const NodeId nid = static_cast<NodeId>(p[1]);
         if (TupleLess(best_b, best_id, nb, nid)) {
           best_b = nb;
           best_id = nid;
@@ -176,9 +176,8 @@ class TreeEliminationProtocol : public distsim::Protocol {
     double deg = 0.0;
     const auto nbrs = ctx.neighbors();
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const Payload* p = ctx.NeighborBroadcast(i);
-      if (p != nullptr && !p->empty() &&
-          static_cast<NodeId>((*p)[0]) == leader_id_[v]) {
+      const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+      if (p && !p.empty() && static_cast<NodeId>(p[0]) == leader_id_[v]) {
         deg += nbrs[i].w;
       }
     }

@@ -23,8 +23,8 @@ void SingleThresholdElimination::Round(NodeContext& ctx) {
   double deg = 0.0;
   const auto nbrs = ctx.neighbors();
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    const distsim::Payload* p = ctx.NeighborBroadcast(i);
-    if (p != nullptr && !p->empty() && (*p)[0] >= 0.5) deg += nbrs[i].w;
+    const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+    if (p && !p.empty() && p[0] >= 0.5) deg += nbrs[i].w;
   }
   if (deg < threshold_) {
     state_[v] = 0;

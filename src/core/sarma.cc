@@ -13,7 +13,6 @@ namespace {
 
 using distsim::InMessage;
 using distsim::NodeContext;
-using distsim::Payload;
 using graph::Graph;
 using graph::NodeId;
 
@@ -47,10 +46,10 @@ class BfsTree : public distsim::Protocol {
     const auto nbrs = ctx.neighbors();
     bool changed = false;
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const Payload* p = ctx.NeighborBroadcast(i);
-      if (p == nullptr || p->size() < 2) continue;
-      const NodeId r = static_cast<NodeId>((*p)[0]);
-      const auto d = static_cast<std::uint32_t>((*p)[1]) + 1;
+      const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+      if (!p || p.size() < 2) continue;
+      const NodeId r = static_cast<NodeId>(p[0]);
+      const auto d = static_cast<std::uint32_t>(p[1]) + 1;
       if (r > root_[v] || (r == root_[v] && d < dist_[v])) {
         root_[v] = r;
         dist_[v] = d;
@@ -95,8 +94,8 @@ class AliveDegree : public distsim::Protocol {
     double d = 0.0;
     const auto nbrs = ctx.neighbors();
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const Payload* p = ctx.NeighborBroadcast(i);
-      if (p != nullptr && !p->empty() && (*p)[0] >= 0.5) d += nbrs[i].w;
+      const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+      if (p && !p.empty() && p[0] >= 0.5) d += nbrs[i].w;
     }
     (*deg_)[v] = d;
   }

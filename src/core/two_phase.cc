@@ -11,7 +11,6 @@ namespace kcore::core {
 namespace {
 
 using distsim::NodeContext;
-using distsim::Payload;
 using graph::Edge;
 using graph::EdgeId;
 using graph::Graph;
@@ -33,8 +32,8 @@ class PeelingProtocol : public distsim::Protocol {
     double active_deg = 0.0;
     const auto nbrs = ctx.neighbors();
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const Payload* p = ctx.NeighborBroadcast(i);
-      if (p != nullptr && !p->empty() && (*p)[0] >= 0.5) active_deg += nbrs[i].w;
+      const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+      if (p && !p.empty() && p[0] >= 0.5) active_deg += nbrs[i].w;
     }
     if (active_deg <= thresholds_[v]) {
       peel_round_[v] = ctx.round();

@@ -8,21 +8,74 @@
 
 namespace kcore::core {
 
-UpdateResult UpdateStep(std::span<const double> values,
-                        std::span<const double> weights,
-                        std::span<std::uint32_t> order) {
+namespace {
+
+// Runs of at most this many entries are insertion-sorted; the merges
+// start above it. Short adjacency lists (most nodes on sparse graphs)
+// never touch the merge buffer.
+constexpr std::size_t kInsertionRun = 32;
+
+// Stable insertion sort of [first, last) by values ascending: O(length
+// + inversions), i.e. near-linear on the nearly sorted persisted order.
+void InsertionSort(std::uint32_t* first, std::uint32_t* last,
+                   const double* values) {
+  if (first == last) return;
+  for (std::uint32_t* i = first + 1; i != last; ++i) {
+    const std::uint32_t x = *i;
+    const double key = values[x];
+    std::uint32_t* j = i;
+    for (; j != first && key < values[*(j - 1)]; --j) *j = *(j - 1);
+    *j = x;
+  }
+}
+
+// Stable sort of `order` by values ascending: insertion-sorted runs of
+// kInsertionRun, then bottom-up merges of adjacent runs. A merge copies
+// its left run into `buf` and merges back, taking the left entry on ties
+// (stability); adjacent runs already in order are left as they are.
+void StableSortByValue(std::span<std::uint32_t> order, const double* values,
+                       std::vector<std::uint32_t>& buf) {
+  const std::size_t d = order.size();
+  std::uint32_t* a = order.data();
+  for (std::size_t lo = 0; lo < d; lo += kInsertionRun) {
+    InsertionSort(a + lo, a + std::min(d, lo + kInsertionRun), values);
+  }
+  if (d <= kInsertionRun) return;
+  if (buf.size() < d) buf.resize(d);  // a left run is shorter than d
+  for (std::size_t width = kInsertionRun; width < d; width *= 2) {
+    for (std::size_t lo = 0; lo + width < d; lo += 2 * width) {
+      const std::size_t mid = lo + width;
+      const std::size_t hi = std::min(d, mid + width);
+      if (!(values[a[mid]] < values[a[mid - 1]])) continue;  // in order
+      std::copy(a + lo, a + mid, buf.data());
+      const std::uint32_t* l = buf.data();
+      const std::uint32_t* const l_end = buf.data() + (mid - lo);
+      std::size_t r = mid;
+      std::size_t out = lo;
+      while (l != l_end && r != hi) {
+        a[out++] = values[a[r]] < values[*l] ? a[r++] : *l++;
+      }
+      std::copy(l, l_end, a + out);  // the right run's tail is in place
+    }
+  }
+}
+
+}  // namespace
+
+double UpdateStep(std::span<const double> values,
+                  std::span<const double> weights,
+                  std::span<std::uint32_t> order,
+                  std::vector<std::uint32_t>* chosen) {
   const std::size_t d = values.size();
   KCORE_CHECK(weights.size() == d && order.size() == d);
-  UpdateResult out;
-  if (d == 0) return out;  // b = 0, N = {}
+  if (chosen != nullptr) chosen->clear();
+  if (d == 0) return 0.0;  // b = 0, N = {}
 
   // Stable sort by current values: ties keep the order induced by all past
   // rounds (most recent first), bottoming out at the caller's initial
   // id-order — the paper's tie-breaking rule.
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return values[a] < values[b];
-                   });
+  thread_local std::vector<std::uint32_t> merge_buf;
+  StableSortByValue(order, values.data(), merge_buf);
 
   // Scan thresholds from the largest down (Algorithm 3). With sorted
   // b_1 <= ... <= b_d and suffix sum s_i = sum_{j >= i} w_j, the first
@@ -37,21 +90,26 @@ UpdateResult UpdateStep(std::span<const double> values,
         i > 0 ? values[order[i - 1]] : -std::numeric_limits<double>::infinity();
     if (s > prev) {
       const double bi = values[order[i]];
-      if (s <= bi) {
-        out.b = s;
-        out.chosen.assign(order.begin() + static_cast<std::ptrdiff_t>(i),
-                          order.end());
-      } else {
-        out.b = bi;
-        out.chosen.assign(order.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                          order.end());
+      const std::size_t first = s <= bi ? i : i + 1;
+      if (chosen != nullptr) {
+        chosen->assign(order.begin() + static_cast<std::ptrdiff_t>(first),
+                       order.end());
       }
-      return out;
+      return s <= bi ? s : bi;
     }
   }
   // Unreachable: the loop always stops at i == 0 (prev = -inf, s >= 0).
   KCORE_CHECK_MSG(false, "UpdateStep scan fell through");
-  return out;
+  return 0.0;
+}
+
+UpdateInputs ThreadUpdateInputs(std::size_t d) {
+  thread_local std::vector<double> values, weights;
+  if (values.size() < d) {
+    values.resize(d);
+    weights.resize(d);
+  }
+  return {{values.data(), d}, {weights.data(), d}};
 }
 
 double UpdateValueBruteForce(std::span<const double> values,

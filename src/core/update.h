@@ -14,7 +14,11 @@
 // ordering of the neighbors and STABLE-sorting it by the current b_i each
 // round — which is exactly what this implementation does: the caller owns
 // `order` (initialized to the identity / id order) and passes it back
-// every round; UpdateStep stable-sorts it in place.
+// every round; UpdateStep stable-sorts it in place. The order is nearly
+// sorted from one round to the next, so the sort is an insertion sort on
+// short runs with buffered merges above them, skipping merges of runs
+// already in order. Every stable sort yields the same permutation, so
+// the choice of sort cannot change a result.
 #pragma once
 
 #include <cstdint>
@@ -23,20 +27,28 @@
 
 namespace kcore::core {
 
-struct UpdateResult {
-  // The new surviving number.
-  double b = 0.0;
-  // Indices (into the caller's values/weights arrays) of the auxiliary
-  // subset N, in ascending sorted position (largest b_i last).
-  std::vector<std::uint32_t> chosen;
-};
-
 // values[i], weights[i]: neighbor i's surviving number and edge weight.
 // order: permutation of [0, d) persisted across rounds by the caller;
-// stable-sorted in place by values ascending. d == 0 yields b = 0, N = {}.
-UpdateResult UpdateStep(std::span<const double> values,
-                        std::span<const double> weights,
-                        std::span<std::uint32_t> order);
+// stable-sorted in place by values ascending. Returns the new surviving
+// number b. When `chosen` is non-null it is overwritten with the
+// auxiliary subset N: indices into values/weights, in ascending sorted
+// position (largest b_i last); callers that need only b pass nullptr and
+// copy nothing. d == 0 yields b = 0, N = {}. Once the calling thread's
+// merge buffer (and *chosen) have grown to d, a call allocates nothing.
+double UpdateStep(std::span<const double> values,
+                  std::span<const double> weights,
+                  std::span<std::uint32_t> order,
+                  std::vector<std::uint32_t>* chosen = nullptr);
+
+// This thread's gather buffers for UpdateStep's values and weights, each
+// at least d long. They grow and never shrink, so a protocol that
+// gathers its neighbors' values every node-round allocates nothing once
+// warm. The contents are scratch, valid until the thread's next call.
+struct UpdateInputs {
+  std::span<double> values;
+  std::span<double> weights;
+};
+UpdateInputs ThreadUpdateInputs(std::size_t d);
 
 // Reference brute-force for tests: the maximum b such that
 // sum_{i: values[i] >= b} weights[i] >= b (no auxiliary subset). The

@@ -135,13 +135,12 @@ std::vector<double> DCoreSurvivingNumbers(const Digraph& g, double l,
     for (NodeId v = 0; v < n; ++v) {
       if (!active[v]) continue;
       const auto in = g.InNeighbors(v);
-      std::vector<double> values(in.size());
-      std::vector<double> weights(in.size());
+      const core::UpdateInputs x = core::ThreadUpdateInputs(in.size());
       for (std::size_t i = 0; i < in.size(); ++i) {
-        values[i] = prev_active[in[i].node] ? prev_b[in[i].node] : 0.0;
-        weights[i] = in[i].w;
+        x.values[i] = prev_active[in[i].node] ? prev_b[in[i].node] : 0.0;
+        x.weights[i] = in[i].w;
       }
-      b[v] = std::min(b[v], core::UpdateStep(values, weights, order[v]).b);
+      b[v] = std::min(b[v], core::UpdateStep(x.values, x.weights, order[v]));
     }
   }
   for (NodeId v = 0; v < n; ++v) {

@@ -13,7 +13,6 @@
 namespace kcore::directed {
 
 using distsim::NodeContext;
-using distsim::Payload;
 using graph::AdjEntry;
 
 namespace {
@@ -55,7 +54,6 @@ DCoreProtocol::DCoreProtocol(const Digraph& g, double l)
   b_.assign(n, std::numeric_limits<double>::infinity());
   active_.assign(n, 1);
   order_.resize(n);
-  scratch_values_.resize(n);
   for (NodeId v = 0; v < n; ++v) {
     const auto out = g.OutNeighbors(v);
     out_arcs_[v].reserve(out.size());
@@ -69,7 +67,6 @@ DCoreProtocol::DCoreProtocol(const Digraph& g, double l)
     }
     order_[v].resize(in.size());
     std::iota(order_[v].begin(), order_[v].end(), 0u);
-    scratch_values_[v].resize(in.size());
   }
 }
 
@@ -86,7 +83,7 @@ void DCoreProtocol::Round(NodeContext& ctx) {
   // round (= were active through the previous round).
   double od = 0.0;
   for (const ArcRef& a : out_arcs_[v]) {
-    if (ctx.NeighborBroadcast(a.adj) != nullptr) od += a.w;
+    if (ctx.NeighborBroadcast(a.adj)) od += a.w;
   }
   if (od < l_) {
     active_[v] = 0;
@@ -97,14 +94,13 @@ void DCoreProtocol::Round(NodeContext& ctx) {
 
   // Surviving-number update on in-neighbors: a silent source counts as
   // value 0 (it deactivated in an earlier round).
-  auto& values = scratch_values_[v];
-  std::vector<double> weights(in_arcs_[v].size());
+  const core::UpdateInputs in = core::ThreadUpdateInputs(in_arcs_[v].size());
   for (std::size_t i = 0; i < in_arcs_[v].size(); ++i) {
-    const Payload* p = ctx.NeighborBroadcast(in_arcs_[v][i].adj);
-    values[i] = (p != nullptr && !p->empty()) ? (*p)[0] : 0.0;
-    weights[i] = in_arcs_[v][i].w;
+    const distsim::BroadcastView p = ctx.NeighborBroadcast(in_arcs_[v][i].adj);
+    in.values[i] = (p && !p.empty()) ? p[0] : 0.0;
+    in.weights[i] = in_arcs_[v][i].w;
   }
-  b_[v] = std::min(b_[v], core::UpdateStep(values, weights, order_[v]).b);
+  b_[v] = std::min(b_[v], core::UpdateStep(in.values, in.weights, order_[v]));
   ctx.Broadcast({b_[v]});
 }
 

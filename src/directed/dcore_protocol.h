@@ -96,8 +96,6 @@ class DCoreProtocol : public distsim::Protocol {
   std::vector<double> b_;
   std::vector<char> active_;
   std::vector<std::vector<std::uint32_t>> order_;
-  // Scratch, indexed per node to stay race-free under threading.
-  std::vector<std::vector<double>> scratch_values_;
 };
 
 struct DCoreElimResult {

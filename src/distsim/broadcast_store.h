@@ -1,0 +1,158 @@
+// The double-buffered broadcast slots behind NodeContext::Broadcast and
+// NodeContext::NeighborBroadcast — one store type for both compute
+// modes: the engine holds one over the full graph, and each per-rank
+// worker (process_transport.cc) holds one whose owned slots it computes
+// and whose remote slots it fills from its peers' fan-out.
+//
+// Layout: every node owns one fixed-size slot per buffer — a presence
+// stamp, the payload length, and inline room for kInline doubles, which
+// covers every paper family (they broadcast one or two reals). A longer
+// payload spills into a per-node overflow vector; the overflow table is
+// created on the first long payload (so short-payload protocols never
+// pay for it) and its vectors keep their capacity, so a protocol whose
+// payload lengths repeat stops allocating after its first rounds.
+//
+// Presence is an epoch stamp rather than a flag that must be cleared:
+// a slot is present iff its stamp equals its buffer's epoch, and every
+// Publish hands the emptied staging buffer a fresh epoch, so publishing
+// is O(1) — no per-round sweep over n slots, and a worker's remote
+// slots from an earlier round lapse on their own.
+//
+// Concurrency: Stage/ClaimVisible for distinct nodes may run
+// concurrently (disjoint slots; the one-time overflow setup is guarded
+// by a once_flag); everything else runs between rounds.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <mutex>  // std::once_flag
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "graph/graph.h"
+
+namespace kcore::distsim {
+
+// A read-only view of one node's broadcast: absent, or a run of doubles
+// (possibly empty). Valid until the store's next Publish.
+class BroadcastView {
+ public:
+  BroadcastView() = default;
+  BroadcastView(const double* data, std::size_t size)
+      : data_(data), size_(size) {}
+
+  bool present() const { return data_ != nullptr; }
+  explicit operator bool() const { return present(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  double operator[](std::size_t k) const { return data_[k]; }
+  const double* begin() const { return data_; }
+  const double* end() const { return data_ + size_; }
+  std::span<const double> span() const { return {data_, size_}; }
+
+ private:
+  const double* data_ = nullptr;  // null iff absent
+  std::size_t size_ = 0;
+};
+
+class BroadcastStore {
+ public:
+  // Payload entries stored in the slot itself.
+  static constexpr std::size_t kInline = 2;
+
+  // Sizes both buffers for n nodes, every slot absent. Call once,
+  // before any other member.
+  void Reset(graph::NodeId n) {
+    prev_.slots.assign(n, Slot{});
+    next_.slots.assign(n, Slot{});
+    prev_.epoch = 1;
+    next_.epoch = 2;
+    epoch_ = 2;
+  }
+
+  // The previous round's broadcast of v (what neighbors read).
+  BroadcastView Visible(graph::NodeId v) const { return prev_.View(v); }
+  // The broadcast v staged this round (what the census and packers read).
+  BroadcastView Staged(graph::NodeId v) const { return next_.View(v); }
+
+  // Stages v's broadcast for the next round, replacing any earlier one.
+  void Stage(graph::NodeId v, std::span<const double> p) {
+    const std::span<double> dst = Claim(next_, v, p.size());
+    std::copy(p.begin(), p.end(), dst.begin());
+  }
+
+  // Marks v's visible slot present with `size` entries and returns them
+  // for the caller to fill: a worker decoding a peer's fan-out, or the
+  // coordinator loading fetched worker state.
+  std::span<double> ClaimVisible(graph::NodeId v, std::size_t size) {
+    return Claim(prev_, v, size);
+  }
+  void ClearVisible(graph::NodeId v) { prev_.slots[v].stamp = 0; }
+
+  // Whether any node in [lo, hi) staged a broadcast that differs from
+  // its visible one — in presence, length, or any entry (compared with
+  // ==, as std::vector<double> equality does). Read before Publish.
+  bool StagedDiffers(graph::NodeId lo, graph::NodeId hi) const {
+    for (graph::NodeId v = lo; v < hi; ++v) {
+      const BroadcastView a = Staged(v);
+      const BroadcastView b = Visible(v);
+      if (a.present() != b.present()) return true;
+      if (a.present() &&
+          !std::equal(a.begin(), a.end(), b.begin(), b.end())) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Staged broadcasts become visible; the staging buffer starts empty.
+  void Publish() {
+    std::swap(prev_, next_);
+    next_.epoch = ++epoch_;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t stamp = 0;  // == the buffer's epoch iff present
+    std::uint32_t size = 0;
+    double inline_data[kInline] = {};
+  };
+  struct Buffer {
+    std::vector<Slot> slots;
+    // Per-node storage for payloads longer than kInline; empty until the
+    // first one (then sized n, in both buffers at once).
+    std::vector<std::vector<double>> overflow;
+    std::uint32_t epoch = 0;
+
+    BroadcastView View(graph::NodeId v) const {
+      const Slot& s = slots[v];
+      if (s.stamp != epoch) return {};
+      return {s.size <= kInline ? s.inline_data : overflow[v].data(),
+              s.size};
+    }
+  };
+
+  std::span<double> Claim(Buffer& b, graph::NodeId v, std::size_t size) {
+    Slot& s = b.slots[v];
+    s.stamp = b.epoch;
+    s.size = static_cast<std::uint32_t>(size);
+    if (size <= kInline) return {s.inline_data, size};
+    std::call_once(overflow_once_, [this] {
+      prev_.overflow.resize(prev_.slots.size());
+      next_.overflow.resize(next_.slots.size());
+    });
+    std::vector<double>& o = b.overflow[v];
+    o.resize(size);
+    return o;
+  }
+
+  Buffer prev_, next_;
+  // The last epoch handed out; strictly increasing, so a stamp left in a
+  // buffer never matches a later epoch of either buffer.
+  std::uint32_t epoch_ = 0;
+  std::once_flag overflow_once_;
+};
+
+}  // namespace kcore::distsim

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <span>
-#include <unordered_set>
 
 #include "distsim/thread_pool.h"
 #include "distsim/transport.h"
@@ -13,28 +11,23 @@
 
 namespace kcore::distsim {
 
-// NodeContext is a pure forwarder: every query lands on the runtime that
-// minted it — the engine (full graph) or a rank worker's slice runtime.
+// Beyond the adjacency and broadcast slots it reads inline, NodeContext
+// forwards every call to the runtime that minted it — the engine (full
+// graph) or a rank worker's slice runtime.
 
 NodeId NodeContext::n() const { return rt_->RtN(); }
 
-std::span<const graph::AdjEntry> NodeContext::neighbors() const {
-  return rt_->RtNeighbors(id_);
-}
-
 double NodeContext::weighted_degree() const {
   return rt_->RtWeightedDegree(id_);
-}
-
-const Payload* NodeContext::NeighborBroadcast(std::size_t i) const {
-  return rt_->RtNeighborBroadcast(id_, i);
 }
 
 std::span<const InMessage> NodeContext::Messages() const {
   return rt_->RtMessages(id_);
 }
 
-void NodeContext::Broadcast(Payload p) { rt_->RtBroadcast(id_, std::move(p)); }
+void NodeContext::Broadcast(std::span<const double> p) {
+  rt_->RtBroadcast(id_, p);
+}
 
 void NodeContext::Send(NodeId neighbor, Payload p) {
   rt_->RtSend(id_, neighbor, std::move(p));
@@ -82,30 +75,17 @@ void Protocol::LoadNodeState(NodeId v, util::WireReader& in) {
 
 NodeId Engine::RtN() const { return graph_.num_nodes(); }
 
-std::span<const graph::AdjEntry> Engine::RtNeighbors(NodeId v) const {
-  return graph_.Neighbors(v);
-}
-
 double Engine::RtWeightedDegree(NodeId v) const {
   return graph_.WeightedDegree(v);
-}
-
-const Payload* Engine::RtNeighborBroadcast(NodeId v, std::size_t i) const {
-  const auto nbrs = graph_.Neighbors(v);
-  KCORE_CHECK(i < nbrs.size());
-  const NodeId u = nbrs[i].to;
-  if (!prev_has_[u]) return nullptr;
-  return &prev_bcast_[u];
 }
 
 std::span<const InMessage> Engine::RtMessages(NodeId v) const {
   return inbox_[v];
 }
 
-void Engine::RtBroadcast(NodeId v, Payload p) {
+void Engine::RtBroadcast(NodeId v, std::span<const double> p) {
   CheckPayloadLimit(payload_limit_, p.size(), /*broadcast=*/true);
-  next_bcast_[v] = std::move(p);
-  next_has_[v] = 1;
+  bcast_.Stage(v, p);
 }
 
 void Engine::RtSend(NodeId v, NodeId neighbor, Payload p) {
@@ -126,10 +106,7 @@ Engine::Engine(const graph::Graph& g, int num_threads)
       num_threads_(std::max(1, num_threads)),
       transport_(std::make_unique<SharedMemoryTransport>()) {
   const NodeId n = g.num_nodes();
-  prev_bcast_.resize(n);
-  next_bcast_.resize(n);
-  prev_has_.assign(n, 0);
-  next_has_.assign(n, 0);
+  bcast_.Reset(n);
   outbox_.resize(n);
   inbox_.resize(n);
   halted_.assign(n, 0);
@@ -225,13 +202,13 @@ std::span<const std::uint64_t> Engine::ActiveBounds() {
 }
 
 void Engine::ForSharded(
-    const std::function<void(int, std::uint64_t, std::uint64_t)>& body) {
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body) {
   pool_->ParallelFor(ActiveBounds(), body);
 }
 
 void Engine::ReduceSharded(
-    const std::function<void(int, std::uint64_t, std::uint64_t)>& body,
-    const std::function<void(int)>& merge) {
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
+    util::FunctionRef<void(int)> merge) {
   pool_->ParallelReduce(ActiveBounds(), body, merge);
 }
 
@@ -261,7 +238,7 @@ std::size_t Engine::ComputeRange(Protocol& p, NodeId begin, NodeId end,
   for (NodeId v = begin; v < end; ++v) {
     if (halted_[v]) continue;
     ++executed;
-    NodeContext ctx = MakeContext(v, round);
+    NodeContext ctx = MakeContext(v, round, graph_.Neighbors(v), bcast_);
     if (round == 0) {
       p.Init(ctx);
     } else {
@@ -270,21 +247,6 @@ std::size_t Engine::ComputeRange(Protocol& p, NodeId begin, NodeId end,
   }
   return executed;
 }
-
-// Per-shard census accumulator: stats partials plus this shard's distinct
-// first-entry broadcast values; merged on the caller in shard order.
-struct Engine::CollectPartial {
-  std::size_t messages = 0;
-  std::size_t entries = 0;
-  std::size_t max_entries = 0;
-  std::size_t p2p_messages = 0;
-  // Broadcast fan-out pricing (num_ranks > 1 only): wire bytes of
-  // shipping each broadcast once per remote neighbor-owning rank /
-  // once per remote neighbor.
-  std::size_t bcast_fanout_bytes = 0;
-  std::size_t bcast_neighbor_bytes = 0;
-  std::unordered_set<std::uint64_t> distinct;
-};
 
 void Engine::CensusRange(NodeId begin, NodeId end, CollectPartial& part,
                          std::uint32_t* counts_row) {
@@ -307,16 +269,17 @@ void Engine::CensusRange(NodeId begin, NodeId end, CollectPartial& part,
     }
   }
   for (NodeId v = begin; v < end; ++v) {
-    if (next_has_[v]) {
+    const BroadcastView staged = bcast_.Staged(v);
+    if (staged) {
       const std::size_t deg = graph_.Degree(v);
       part.messages += deg;
-      part.entries += deg * next_bcast_[v].size();
-      part.max_entries = std::max(part.max_entries, next_bcast_[v].size());
-      if (!next_bcast_[v].empty()) {
+      part.entries += deg * staged.size();
+      part.max_entries = std::max(part.max_entries, staged.size());
+      if (!staged.empty()) {
         std::uint64_t bits = 0;
         static_assert(sizeof(bits) == sizeof(double));
-        std::memcpy(&bits, &next_bcast_[v][0], sizeof(bits));
-        part.distinct.insert(bits);
+        std::memcpy(&bits, staged.begin(), sizeof(bits));
+        part.distinct.Insert(bits);
       }
       if (num_ranks_ > 1) {
         // Price the CONGEST broadcast fan-out this broadcast would cost
@@ -328,7 +291,7 @@ void Engine::CensusRange(NodeId begin, NodeId end, CollectPartial& part,
         // contiguous ranges, so owner ranks are non-decreasing along
         // the walk — dedup is a single moving cursor, no per-neighbor
         // search.
-        const std::uint64_t bytes = WireBroadcastBytes(v, next_bcast_[v]);
+        const std::uint64_t bytes = WireBroadcastBytes(v, staged.span());
         const int home = OwnerIndex(rank_bounds_.data(), num_ranks_, v);
         int r = 0;
         int last_remote = -1;
@@ -359,7 +322,9 @@ void Engine::CensusRange(NodeId begin, NodeId end, CollectPartial& part,
 
 std::size_t Engine::CensusSequential(RoundStats& stats) {
   const NodeId n = graph_.num_nodes();
-  CollectPartial part;
+  if (partials_.empty()) partials_.resize(1);
+  CollectPartial& part = partials_[0];
+  part.Clear();
   CensusRange(0, n, part, nullptr);
   stats.messages += part.messages;
   stats.entries += part.entries;
@@ -380,19 +345,22 @@ std::size_t Engine::CensusParallel(RoundStats& stats) {
   // Sharded by SENDER: per-shard stats partials + per-(shard, receiver)
   // p2p counts. Partials merge in shard order on this thread, so every
   // accumulated quantity (sums, maxes, the distinct-value set) is
-  // independent of how the OS scheduled the shards.
-  std::vector<CollectPartial> partials(shards);
-  std::unordered_set<std::uint64_t> distinct;
+  // independent of how the OS scheduled the shards. Every partial is
+  // cleared up front: the pool skips an empty shard's body, but its
+  // partial still merges.
+  partials_.resize(shards);
+  for (CollectPartial& part : partials_) part.Clear();
+  distinct_.Clear();
   std::size_t total_p2p = 0;
   ReduceSharded(
       [&](int shard, std::uint64_t b, std::uint64_t e) {
         CensusRange(static_cast<NodeId>(b), static_cast<NodeId>(e),
-                    partials[shard],
+                    partials_[shard],
                     p2p_offsets_.data() +
                         static_cast<std::size_t>(shard) * n);
       },
       [&](int shard) {
-        CollectPartial& part = partials[shard];
+        CollectPartial& part = partials_[shard];
         stats.messages += part.messages;
         stats.entries += part.entries;
         stats.bcast_bytes_sent += part.bcast_fanout_bytes;
@@ -403,17 +371,17 @@ std::size_t Engine::CensusParallel(RoundStats& stats) {
         total_p2p += part.p2p_messages;
         // Set-into-set union: only the merged set's SIZE is read below,
         // which is order-independent.
-        // kcore-lint: allow(unordered-iter) only size() of the union is read
-        distinct.insert(part.distinct.begin(), part.distinct.end());
+        part.distinct.ForEach(
+            [&](std::uint64_t bits) { distinct_.Insert(bits); });
       });
-  stats.distinct_values = distinct.size();
+  stats.distinct_values = distinct_.size();
 
   // Only rows of shards that staged p2p were (re)zeroed and counted this
   // round; everything else in p2p_offsets_ is stale scratch — the mask
   // the transport skips stale rows by.
   shard_sent_.assign(shards, 0);
   for (int s = 0; s < shards; ++s) {
-    shard_sent_[s] = partials[s].p2p_messages > 0 ? 1 : 0;
+    shard_sent_[s] = partials_[s].p2p_messages > 0 ? 1 : 0;
   }
   return total_p2p;
 }
@@ -466,10 +434,13 @@ void Engine::CollectRound(int round) {
     inboxes_dirty_ = true;
   }
 
+  // Every p2p message staged this round sits in some inbox now, so the
+  // round moved traffic iff total_p2p > 0.
+  if (track_quiescence_) {
+    changed_ = total_p2p > 0 || bcast_.StagedDiffers(0, graph_.num_nodes());
+  }
   // Publish broadcasts for the next round.
-  std::swap(prev_bcast_, next_bcast_);
-  std::swap(prev_has_, next_has_);
-  std::fill(next_has_.begin(), next_has_.end(), 0);
+  bcast_.Publish();
 
   history_.push_back(stats);
 }
@@ -494,13 +465,13 @@ void Engine::ComputePhase(Protocol& p, int round) {
        (rebalance_every_ > 0 && round > 0 && round % rebalance_every_ == 0))) {
     BuildShardBounds();
   }
-  std::vector<std::size_t> executed(pool_->num_shards(), 0);
+  executed_.assign(pool_->num_shards(), 0);
   ReduceSharded(
       [&](int shard, std::uint64_t begin, std::uint64_t end) {
-        executed[shard] = ComputeRange(p, static_cast<NodeId>(begin),
-                                       static_cast<NodeId>(end), round);
+        executed_[shard] = ComputeRange(p, static_cast<NodeId>(begin),
+                                        static_cast<NodeId>(end), round);
       },
-      [&](int shard) { active_this_round_ += executed[shard]; });
+      [&](int shard) { active_this_round_ += executed_[shard]; });
 }
 
 void Engine::Start(Protocol& p) {
@@ -528,6 +499,9 @@ void Engine::Start(Protocol& p) {
     rank_bounds_[r] = ThreadPool::ShardBounds(0, n, r, num_ranks_).first;
   }
   rank_bounds_[num_ranks_] = n;
+  // Room for a typical run's per-round stats up front, so steady-state
+  // rounds do not reallocate the history (longer runs grow it amortized).
+  history_.reserve(kHistoryReserve);
   if (per_rank_compute_) {
     // Coordinator mode: arm the transport with everything the workers
     // need to own their slices (protocol for Save/LoadNodeState, graph
@@ -572,7 +546,7 @@ void Engine::RankRound(int round) {
   stats.bcast_bytes_per_neighbor = r.bcast_bytes_per_neighbor;
   max_entries_per_message_ = std::max(max_entries_per_message_, r.max_entries);
   rank_num_halted_ = r.num_halted;
-  rank_changed_ = r.changed;
+  changed_ = r.changed;
   history_.push_back(stats);
 }
 
@@ -590,7 +564,20 @@ RoundStats Engine::Step(Protocol& p) {
 void Engine::FetchRankState(Protocol& p) {
   if (!per_rank_compute_) return;
   KCORE_CHECK_MSG(!history_.empty(), "FetchRankState() before Start()");
-  transport_->CollectRankState(p, prev_bcast_, prev_has_, halted_);
+  // The transport hook fills per-node vectors; load them into the
+  // visible slots (once per fetch, not per round).
+  const NodeId n = graph_.num_nodes();
+  std::vector<Payload> bcast(n);
+  std::vector<char> has(n, 0);
+  transport_->CollectRankState(p, bcast, has, halted_);
+  for (NodeId v = 0; v < n; ++v) {
+    if (has[v]) {
+      const std::span<double> dst = bcast_.ClaimVisible(v, bcast[v].size());
+      std::copy(bcast[v].begin(), bcast[v].end(), dst.begin());
+    } else {
+      bcast_.ClearVisible(v);
+    }
+  }
 }
 
 void Engine::Run(Protocol& p, int rounds) {
@@ -599,51 +586,18 @@ void Engine::Run(Protocol& p, int rounds) {
 }
 
 int Engine::RunUntilQuiescent(Protocol& p, int max_rounds) {
-  if (per_rank_compute_) {
-    // Quiescence is distributed: each worker reports whether its slice
-    // changed (owned inbox traffic or an owned broadcast differing from
-    // the prior round); slices partition the nodes, so the OR of the
-    // per-rank flags is exactly the global predicate below. The flag in
-    // the init frame makes workers keep the prior-broadcast copy only
-    // when someone will read it — set before Start() ships the frame.
-    track_quiescence_ = true;
-    Start(p);
-    int executed = 0;
-    while (executed < max_rounds) {
-      Step(p);
-      ++executed;
-      if (!rank_changed_) return executed;
-    }
-    return executed;
-  }
+  // Every round records whether it changed anything (changed_; see
+  // track_quiescence_). Under per-rank compute each worker reports its
+  // slice and the coordinator ORs them — slices partition the nodes, so
+  // that is exactly the in-engine predicate. The flag must be set before
+  // Start(), which ships it to the workers in the init frame.
+  track_quiescence_ = true;
   Start(p);
-  std::vector<Payload> prior = prev_bcast_;
-  std::vector<char> prior_has = prev_has_;
   int executed = 0;
   while (executed < max_rounds) {
-    const RoundStats stats = Step(p);
+    Step(p);
     ++executed;
-    bool changed = false;
-    // Any p2p traffic counts as activity.
-    for (const auto& ib : inbox_) {
-      if (!ib.empty()) {
-        changed = true;
-        break;
-      }
-    }
-    if (!changed) {
-      for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-        if (prev_has_[v] != prior_has[v] ||
-            (prev_has_[v] && prev_bcast_[v] != prior[v])) {
-          changed = true;
-          break;
-        }
-      }
-    }
-    (void)stats;
-    if (!changed) return executed;
-    prior = prev_bcast_;
-    prior_has = prev_has_;
+    if (!changed_) return executed;
   }
   return executed;
 }

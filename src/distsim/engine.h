@@ -30,7 +30,17 @@
 //      sees every neighbor's round-(t-1) broadcast plus any point-to-point
 //      payloads addressed to it, may stage a new broadcast and p2p sends
 //      (visible to receivers in round t+1), and may Halt() the node.
-//      Per-node writes are disjoint by the Protocol contract.
+//      Per-node writes are disjoint by the Protocol contract. Broadcasts
+//      live in a BroadcastStore (broadcast_store.h): one fixed 24-byte
+//      slot per node and buffer — an epoch stamp that marks presence,
+//      the length, and inline room for BroadcastStore::kInline = 2
+//      doubles (every paper family broadcasts one or two reals); longer
+//      payloads spill into a per-node overflow vector created on first
+//      use and reused after. NeighborBroadcast reads the visible slot
+//      inline through the node's adjacency (no virtual call), and
+//      Broadcast copies into the staged slot, so with the per-thread
+//      Update scratch of core/update.h a steady-state round allocates
+//      nothing (tests/alloc_test.cc pins it).
 //   2. Collect: the round census (message/entry counts, max message size,
 //      distinct broadcast values, active nodes) is accumulated as
 //      per-shard partials merged in shard order — pass 1 also counts
@@ -62,17 +72,21 @@
 //          forked per rank (SetRankCount) exchange the packed segments
 //          over Unix-domain socketpairs; see docs/ARCHITECTURE.md and
 //          docs/TRANSPORTS.md for the rank topology and frame layout.
-//      Broadcasts stay in the engine's double-buffered shared arrays
-//      under every transport in this (default) in-engine compute mode;
-//      under a rank topology the census additionally prices the CONGEST
-//      broadcast fan-out — once per remote neighbor-owning rank — into
-//      RoundStats::bcast_bytes_*. With SetPerRankCompute the fan-out is
-//      real: compute moves into the rank workers, each round's
-//      broadcasts and p2p segments cross process boundaries peer to
-//      peer, and the engine merely merges the workers' RoundStats
-//      partials in rank order (bit-identical results — the conformance
-//      battery pins it). Rounds that stage no p2p traffic never invoke
-//      the transport at all.
+//      The collect ends with BroadcastStore::Publish: the staged buffer
+//      becomes the visible one and the old visible buffer takes a fresh
+//      epoch, which empties it in O(1) — no sweep over n slots.
+//      Broadcasts stay in the engine's store under every transport in
+//      this (default) in-engine compute mode (a rank worker keeps its
+//      own store of the same type for its slice plus the remote slots
+//      its peers' fan-out fills); under a rank topology the census
+//      additionally prices the CONGEST broadcast fan-out — once per
+//      remote neighbor-owning rank — into RoundStats::bcast_bytes_*.
+//      With SetPerRankCompute the fan-out is real: compute moves into
+//      the rank workers, each round's broadcasts and p2p segments cross
+//      process boundaries peer to peer, and the engine merely merges the
+//      workers' RoundStats partials in rank order (bit-identical results
+//      — the conformance battery pins it). Rounds that stage no p2p
+//      traffic never invoke the transport at all.
 // Protocol::Init(ctx) stages the round-0 broadcasts.
 //
 // Randomness: NodeContext::Rng() hands each node its own util::Rng stream,
@@ -84,15 +98,19 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>  // std::once_flag
 #include <span>
 #include <string>
 #include <vector>
 
+#include "distsim/broadcast_store.h"
 #include "graph/graph.h"
+#include "util/function_ref.h"
+#include "util/logging.h"
 #include "util/rng.h"
+#include "util/u64_set.h"
 
 namespace kcore::util {
 class WireAppender;
@@ -184,20 +202,28 @@ class NodeContext {
   NodeId n() const;
 
   // The node's incident edges (neighbor id + weight), id-sorted.
-  std::span<const graph::AdjEntry> neighbors() const;
-  std::size_t degree() const { return neighbors().size(); }
+  std::span<const graph::AdjEntry> neighbors() const { return nbrs_; }
+  std::size_t degree() const { return nbrs_.size(); }
   double weighted_degree() const;
 
   // Broadcast of neighbor #i (index into neighbors()) from the previous
-  // round, or nullptr if that neighbor did not broadcast / has halted.
-  const Payload* NeighborBroadcast(std::size_t i) const;
+  // round; absent if that neighbor did not broadcast / has halted. Read
+  // straight from the runtime's broadcast slots — no virtual call.
+  BroadcastView NeighborBroadcast(std::size_t i) const {
+    KCORE_CHECK(i < nbrs_.size());
+    return bcast_->Visible(nbrs_[i].to);
+  }
 
   // Point-to-point messages delivered this round, sorted by sender id.
   std::span<const InMessage> Messages() const;
 
   // Stages this node's broadcast for the next round (replaces any
-  // previously staged one this round).
-  void Broadcast(Payload p);
+  // previously staged one this round). Copied into the node's slot, so
+  // payloads of up to BroadcastStore::kInline entries never allocate.
+  void Broadcast(std::initializer_list<double> p) {
+    Broadcast(std::span<const double>(p.begin(), p.size()));
+  }
+  void Broadcast(std::span<const double> p);
 
   // Stages a point-to-point message to a neighbor (must be adjacent).
   void Send(NodeId neighbor, Payload p);
@@ -213,9 +239,13 @@ class NodeContext {
 
  private:
   friend class NodeRuntime;
-  NodeContext(NodeRuntime* rt, NodeId id, int round) noexcept
-      : rt_(rt), id_(id), round_(round) {}
+  NodeContext(NodeRuntime* rt, const BroadcastStore* bcast,
+              std::span<const graph::AdjEntry> nbrs, NodeId id,
+              int round) noexcept
+      : rt_(rt), bcast_(bcast), nbrs_(nbrs), id_(id), round_(round) {}
   NodeRuntime* rt_;
+  const BroadcastStore* bcast_;
+  std::span<const graph::AdjEntry> nbrs_;
   NodeId id_;
   int round_;
 };
@@ -225,33 +255,33 @@ class NodeContext {
 // (the per-rank compute path of process_transport.cc). Protocol code is
 // oblivious to which — NodeContext is its only window, so the same
 // Init/Round bodies run unchanged in-engine or inside a forked worker
-// that holds just its node slice. The virtuals are private: only
-// NodeContext may call them, and only a runtime may mint contexts
-// (MakeContext), so the locality guarantee cannot be bypassed by
-// holding a runtime pointer.
+// that holds just its node slice. The runtime hands each context its
+// node's adjacency and its BroadcastStore, which the context reads
+// directly; everything else goes through the virtuals. The virtuals
+// are private: only NodeContext may call them, and only a runtime may
+// mint contexts (MakeContext), so the locality guarantee cannot be
+// bypassed by holding a runtime pointer.
 class NodeRuntime {
  public:
   virtual ~NodeRuntime() = default;
 
  protected:
-  NodeContext MakeContext(NodeId id, int round) noexcept;
+  NodeContext MakeContext(NodeId id, int round,
+                          std::span<const graph::AdjEntry> nbrs,
+                          const BroadcastStore& bcast) noexcept {
+    return NodeContext(this, &bcast, nbrs, id, round);
+  }
 
  private:
   friend class NodeContext;
   virtual NodeId RtN() const = 0;
-  virtual std::span<const graph::AdjEntry> RtNeighbors(NodeId v) const = 0;
   virtual double RtWeightedDegree(NodeId v) const = 0;
-  virtual const Payload* RtNeighborBroadcast(NodeId v, std::size_t i) const = 0;
   virtual std::span<const InMessage> RtMessages(NodeId v) const = 0;
-  virtual void RtBroadcast(NodeId v, Payload p) = 0;
+  virtual void RtBroadcast(NodeId v, std::span<const double> p) = 0;
   virtual void RtSend(NodeId v, NodeId neighbor, Payload p) = 0;
   virtual util::Rng& RtRng(NodeId v) = 0;
   virtual void RtHalt(NodeId v) = 0;
 };
-
-inline NodeContext NodeRuntime::MakeContext(NodeId id, int round) noexcept {
-  return NodeContext(this, id, round);
-}
 
 // CONGEST / locality enforcement shared by the engine's runtime and the
 // worker-side slice runtime (process_transport.cc), so both compute
@@ -414,7 +444,9 @@ class Engine : private NodeRuntime {
   // Steps until a round changes nothing (no broadcasts staged differ from
   // the previous round and no p2p messages) or max_rounds is hit.
   // Returns the number of executed rounds. Used by the run-to-convergence
-  // baseline (Montresor et al.).
+  // baseline (Montresor et al.). Each round's collect compares the staged
+  // broadcasts with the visible ones before publishing, so the run keeps
+  // no copy of the previous round.
   int RunUntilQuiescent(Protocol& p, int max_rounds);
 
   const graph::Graph& graph() const { return graph_; }
@@ -435,17 +467,38 @@ class Engine : private NodeRuntime {
   // when compute runs in-engine (per-rank workers substitute their own
   // slice runtime in process_transport.cc).
   NodeId RtN() const override;
-  std::span<const graph::AdjEntry> RtNeighbors(NodeId v) const override;
   double RtWeightedDegree(NodeId v) const override;
-  const Payload* RtNeighborBroadcast(NodeId v, std::size_t i) const override;
   std::span<const InMessage> RtMessages(NodeId v) const override;
-  void RtBroadcast(NodeId v, Payload p) override;
+  void RtBroadcast(NodeId v, std::span<const double> p) override;
   void RtSend(NodeId v, NodeId neighbor, Payload p) override;
   util::Rng& RtRng(NodeId v) override;
   void RtHalt(NodeId v) override;
 
-  // Per-shard census accumulator (defined in engine.cc).
-  struct CollectPartial;
+  // Rounds of RoundStats history reserved at Start().
+  static constexpr std::size_t kHistoryReserve = 64;
+
+  // Per-shard census accumulator: stats partials plus this shard's
+  // distinct first-entry broadcast values; merged on the caller in shard
+  // order.
+  struct CollectPartial {
+    std::size_t messages = 0;
+    std::size_t entries = 0;
+    std::size_t max_entries = 0;
+    std::size_t p2p_messages = 0;
+    // Broadcast fan-out pricing (num_ranks > 1 only): wire bytes of
+    // shipping each broadcast once per remote neighbor-owning rank /
+    // once per remote neighbor.
+    std::size_t bcast_fanout_bytes = 0;
+    std::size_t bcast_neighbor_bytes = 0;
+    util::U64Set distinct;
+
+    // Zeroes the partial, keeping the set's storage.
+    void Clear() {
+      messages = entries = max_entries = p2p_messages = 0;
+      bcast_fanout_bytes = bcast_neighbor_bytes = 0;
+      distinct.Clear();
+    }
+  };
 
   // Both phases shard iff the same predicate holds, so a run is either
   // wholly sequential or wholly pooled.
@@ -483,10 +536,10 @@ class Engine : private NodeRuntime {
   // otherwise, so no call site can end up on a partition that disagrees
   // with the rest of the round.
   void ForSharded(
-      const std::function<void(int, std::uint64_t, std::uint64_t)>& body);
+      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body);
   void ReduceSharded(
-      const std::function<void(int, std::uint64_t, std::uint64_t)>& body,
-      const std::function<void(int)>& merge);
+      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
+      util::FunctionRef<void(int)> merge);
 
   const graph::Graph& graph_;
   int num_threads_;
@@ -516,17 +569,19 @@ class Engine : private NodeRuntime {
   // coordinator; these mirror the workers' merged per-round reports.
   bool per_rank_compute_ = false;
   std::string graph_path_;
-  // Shipped to workers in the init frame so they track slice quiescence
-  // only when RunUntilQuiescent needs it; set before Start() there.
+  // Set by RunUntilQuiescent before Start(): every round then records
+  // in changed_ whether it moved p2p traffic or staged a broadcast that
+  // differs from the previous round's (in-engine: CollectRound; per-rank
+  // compute: the workers, told through the init frame).
   bool track_quiescence_ = false;
+  bool changed_ = false;
   std::size_t rank_num_halted_ = 0;
-  bool rank_changed_ = false;
   int round_ = 0;
 
-  // Double-buffered broadcasts: prev_ visible to readers, next_ written by
-  // the current compute phase (each node writes only its own slot).
-  std::vector<Payload> prev_bcast_, next_bcast_;
-  std::vector<char> prev_has_, next_has_;
+  // Double-buffered broadcasts: the visible side is read by the current
+  // compute phase, the staged side written by it (each node writes only
+  // its own slot); CollectRound publishes.
+  BroadcastStore bcast_;
 
   // Point-to-point: outboxes written by sender's compute, merged into
   // inboxes between rounds.
@@ -541,6 +596,12 @@ class Engine : private NodeRuntime {
   // Nodes whose Init/Round ran in the current round's compute phase
   // (counted there, per shard, and consumed by CollectRound's stats).
   std::size_t active_this_round_ = 0;
+  // Round scratch, kept across rounds so steady-state rounds allocate
+  // nothing: per-shard executed counts and census partials (one partial
+  // when sequential), and the merged distinct-value set.
+  std::vector<std::size_t> executed_;
+  std::vector<CollectPartial> partials_;
+  util::U64Set distinct_;
 
   // Per-node RNG streams behind NodeContext::Rng, keyed forks of
   // Rng(master_seed_). Built lazily on the first draw (call_once, so

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <unordered_set>
 
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -265,9 +264,9 @@ void ExchangeWithPeers(int rank, int num_ranks, const std::vector<int>& peer,
 
 // ---------------------------------------------------------------------
 // Per-rank compute worker. The worker owns its node slice end to end:
-// slice graph, protocol state for owned nodes, broadcast double-buffers,
-// inboxes/outboxes, RNG streams. Each round it runs the compute phase
-// locally and exchanges composite peer bodies
+// slice graph, protocol state for owned nodes, a BroadcastStore (the
+// engine's slot store type), inboxes/outboxes, RNG streams. Each round
+// it runs the compute phase locally and exchanges composite peer bodies
 // [fixed64 p2p_len][p2p segment][broadcast segment] over the SAME
 // socketpair alltoallv as the byte-shuttle mode — the broadcast segment
 // realizes the CONGEST fan-out rule (one copy per remote
@@ -298,26 +297,15 @@ class SliceRuntime final : public NodeRuntime {
   // id-sorted, so Neighbors/Degree/WeightedDegree agree with the
   // engine's bit for bit.
   NodeId RtN() const override { return n_; }
-  std::span<const graph::AdjEntry> RtNeighbors(NodeId v) const override {
-    return slice_.Neighbors(v);
-  }
   double RtWeightedDegree(NodeId v) const override {
     return slice_.WeightedDegree(v);
-  }
-  const Payload* RtNeighborBroadcast(NodeId v, std::size_t i) const override {
-    const auto nbrs = slice_.Neighbors(v);
-    KCORE_CHECK(i < nbrs.size());
-    const NodeId u = nbrs[i].to;
-    if (!prev_has_[u]) return nullptr;
-    return &prev_bcast_[u];
   }
   std::span<const InMessage> RtMessages(NodeId v) const override {
     return inbox_[v];
   }
-  void RtBroadcast(NodeId v, Payload p) override {
+  void RtBroadcast(NodeId v, std::span<const double> p) override {
     CheckPayloadLimit(payload_limit_, p.size(), /*broadcast=*/true);
-    next_bcast_[v] = std::move(p);
-    next_has_[v] = 1;
+    bcast_.Stage(v, p);
   }
   void RtSend(NodeId v, NodeId neighbor, Payload p) override {
     CheckSendAdjacent(slice_.Neighbors(v), v, neighbor);
@@ -351,15 +339,14 @@ class SliceRuntime final : public NodeRuntime {
   std::size_t payload_limit_ = 0;
   bool track_quiescence_ = false;
 
-  // Full-size-n arrays so node ids index directly; remote slots of
-  // prev_* hold only what the fan-out delivered (tracked in
-  // remote_live_ for O(received) clearing), everything else is owned.
-  std::vector<Payload> prev_bcast_, next_bcast_, prior_bcast_;
-  std::vector<char> prev_has_, next_has_, prior_has_;
+  // Full-size-n arrays so node ids index directly. Owned nodes stage
+  // into bcast_ and read their neighbors from it; the visible slots of
+  // remote nodes hold only what this round's fan-out delivered (earlier
+  // deliveries lapse at Publish).
+  BroadcastStore bcast_;
   std::vector<char> halted_;
   std::vector<std::vector<OutMessage>> outbox_;
   std::vector<std::vector<InMessage>> inbox_;
-  std::vector<NodeId> remote_live_;
 
   bool node_rng_ready_ = false;
   std::vector<util::Rng> node_rng_;  // indexed v - lo_
@@ -370,6 +357,8 @@ class SliceRuntime final : public NodeRuntime {
   std::vector<std::vector<std::uint8_t>> bcast_buf_;  // one per dst rank
   std::vector<std::uint64_t> counts_, displ_;
   std::vector<std::vector<std::uint8_t>> recv_seg_;
+  util::U64Set distinct_;
+  std::vector<std::uint64_t> distinct_sorted_;
 };
 
 void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
@@ -428,12 +417,7 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
     WorkerDie(rank_, "slice graph node count disagrees with init frame");
   }
 
-  prev_bcast_.resize(n_);
-  next_bcast_.resize(n_);
-  prior_bcast_.resize(n_);
-  prev_has_.assign(n_, 0);
-  next_has_.assign(n_, 0);
-  prior_has_.assign(n_, 0);
+  bcast_.Reset(n_);
   halted_.assign(n_, 0);
   outbox_.resize(n_);
   inbox_.resize(n_);
@@ -472,7 +456,7 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   for (NodeId v = lo_; v < hi_; ++v) {
     if (halted_[v]) continue;
     ++active;
-    NodeContext ctx = MakeContext(v, round);
+    NodeContext ctx = MakeContext(v, round, slice_.Neighbors(v), bcast_);
     if (round == 0) {
       protocol_->Init(ctx);
     } else {
@@ -485,18 +469,19 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   // partitioned by rank, so the parent's merged sums match the
   // in-engine census exactly).
   std::size_t messages = 0, entries = 0, max_entries = 0;
-  std::unordered_set<std::uint64_t> distinct;
+  distinct_.Clear();
   for (NodeId v = lo_; v < hi_; ++v) {
-    if (next_has_[v]) {
+    const BroadcastView staged = bcast_.Staged(v);
+    if (staged) {
       const std::size_t deg = slice_.Degree(v);
       messages += deg;
-      entries += deg * next_bcast_[v].size();
-      max_entries = std::max(max_entries, next_bcast_[v].size());
-      if (!next_bcast_[v].empty()) {
+      entries += deg * staged.size();
+      max_entries = std::max(max_entries, staged.size());
+      if (!staged.empty()) {
         std::uint64_t bits = 0;
         static_assert(sizeof(bits) == sizeof(double));
-        std::memcpy(&bits, &next_bcast_[v][0], sizeof(bits));
-        distinct.insert(bits);
+        std::memcpy(&bits, staged.begin(), sizeof(bits));
+        distinct_.Insert(bits);
       }
     }
     for (const OutMessage& m : outbox_[v]) {
@@ -533,12 +518,13 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   std::uint64_t bcast_sent = 0, bcast_per_nbr = 0;
   for (int d = 0; d < R; ++d) bcast_buf_[d].clear();
   for (NodeId v = lo_; v < hi_; ++v) {
-    if (!next_has_[v]) continue;
+    const BroadcastView staged = bcast_.Staged(v);
+    if (!staged) continue;
     bcast_scratch_.clear();
     util::WireAppender enc(bcast_scratch_);
     enc.Varint(v);
-    enc.Varint(next_bcast_[v].size());
-    for (double x : next_bcast_[v]) enc.Double(x);
+    enc.Varint(staged.size());
+    for (double x : staged) enc.Double(x);
     const std::uint64_t bytes = bcast_scratch_.size();
     int r = 0;
     int last_remote = -1;
@@ -606,17 +592,23 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
                       recv_seg_[s].size() - 8 - p2p_len);
   }
 
-  // 6. Publish broadcasts. Owned slots double-buffer locally; remote
-  // slots are cleared (only those the previous round set) and refilled
-  // from the peers' broadcast segments — disjoint id ranges per src
-  // rank, so decode order across peers cannot matter.
-  for (NodeId u : remote_live_) prev_has_[u] = 0;
-  remote_live_.clear();
-  for (NodeId v = lo_; v < hi_; ++v) {
-    std::swap(prev_bcast_[v], next_bcast_[v]);
-    prev_has_[v] = next_has_[v];
-    next_has_[v] = 0;
+  // 6. Slice quiescence: owned inbox traffic, or an owned broadcast
+  // staged this round that differs from its visible (previous-round)
+  // one. Slices partition the nodes, so the parent's OR over ranks
+  // equals the engine's global predicate.
+  bool changed = true;
+  if (track_quiescence_) {
+    changed = false;
+    for (NodeId v = lo_; v < hi_ && !changed; ++v) {
+      changed = !inbox_[v].empty();
+    }
+    if (!changed) changed = bcast_.StagedDiffers(lo_, hi_);
   }
+
+  // 7. Publish: owned broadcasts become visible, then the peers'
+  // broadcast segments fill the remote slots — disjoint id ranges per
+  // src rank, so decode order across peers cannot matter.
+  bcast_.Publish();
   std::uint64_t bcast_received = 0;
   for (int s = 0; s < R; ++s) {
     if (s == rank_) continue;
@@ -629,34 +621,12 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
                          "the broadcaster");
       }
       const std::uint64_t len = br.Varint();
-      prev_bcast_[u].resize(len);
-      for (std::uint64_t k = 0; k < len; ++k) prev_bcast_[u][k] = br.Double();
-      prev_has_[u] = 1;
-      remote_live_.push_back(u);
+      if (br.failed() || len > br.remaining() / 8) {
+        WorkerDie(rank_, "malformed broadcast segment");
+      }
+      for (double& x : bcast_.ClaimVisible(u, len)) x = br.Double();
     }
     if (br.failed()) WorkerDie(rank_, "malformed broadcast segment");
-  }
-
-  // 7. Slice quiescence: owned inbox traffic, or an owned broadcast
-  // differing from the prior round. Slices partition the nodes, so the
-  // parent's OR over ranks equals the engine's global predicate. Round
-  // 0 only seeds the prior snapshot (its flag is never read).
-  bool changed = true;
-  if (track_quiescence_) {
-    if (round > 0) {
-      changed = false;
-      for (NodeId v = lo_; v < hi_ && !changed; ++v) {
-        changed = !inbox_[v].empty();
-      }
-      for (NodeId v = lo_; v < hi_ && !changed; ++v) {
-        changed = prev_has_[v] != prior_has_[v] ||
-                  (prev_has_[v] && prev_bcast_[v] != prior_bcast_[v]);
-      }
-    }
-    for (NodeId v = lo_; v < hi_; ++v) {
-      prior_bcast_[v] = prev_bcast_[v];
-      prior_has_[v] = prev_has_[v];
-    }
   }
 
   std::size_t halted_count = 0;
@@ -664,8 +634,9 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
 
   // 8. The stats-partial reply. Distinct values travel as a sorted
   // bit-pattern list so the parent can union them exactly.
-  // kcore-lint: allow(unordered-iter) output fully sorted before use
-  std::vector<std::uint64_t> dv(distinct.begin(), distinct.end());
+  std::vector<std::uint64_t>& dv = distinct_sorted_;
+  dv.clear();
+  distinct_.ForEach([&](std::uint64_t bits) { dv.push_back(bits); });
   std::sort(dv.begin(), dv.end());
   reply.clear();
   util::WireAppender a(reply);
@@ -690,10 +661,11 @@ void SliceRuntime::Collect(std::vector<std::uint8_t>& reply) {
   std::vector<std::uint8_t> state;
   for (NodeId v = lo_; v < hi_; ++v) {
     a.Varint(halted_[v] ? 1 : 0);
-    a.Varint(prev_has_[v] ? 1 : 0);
-    if (prev_has_[v]) {
-      a.Varint(prev_bcast_[v].size());
-      for (double x : prev_bcast_[v]) a.Double(x);
+    const BroadcastView visible = bcast_.Visible(v);
+    a.Varint(visible ? 1 : 0);
+    if (visible) {
+      a.Varint(visible.size());
+      for (double x : visible) a.Double(x);
     }
     state.clear();
     util::WireAppender sa(state);
@@ -1131,7 +1103,7 @@ RankRoundResult ProcessTransport::RankStep(int round) {
   // exact union for the distinct-value census (slices can broadcast the
   // same value, so summing per-slice counts would overcount).
   RankRoundResult out{};
-  std::unordered_set<std::uint64_t> distinct;
+  distinct_.Clear();
   for (int r = 0; r < R; ++r) {
     std::uint8_t len8[8];
     if (!util::ReadFully(parent_fd_[r], len8, 8)) {
@@ -1156,11 +1128,11 @@ RankRoundResult ProcessTransport::RankStep(int round) {
     out.num_halted += br.Varint();
     out.changed = br.Varint() != 0 || out.changed;
     const std::uint64_t k = br.Varint();
-    for (std::uint64_t i = 0; i < k; ++i) distinct.insert(br.Fixed64());
+    for (std::uint64_t i = 0; i < k; ++i) distinct_.Insert(br.Fixed64());
     KCORE_CHECK_MSG(!br.failed() && br.remaining() == 0,
                     "malformed stats reply from rank " << r);
   }
-  out.distinct_values = distinct.size();
+  out.distinct_values = distinct_.size();
   return out;
 }
 

@@ -60,6 +60,7 @@
 #include "distsim/transport.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
+#include "util/u64_set.h"
 
 namespace kcore::distsim {
 
@@ -180,6 +181,7 @@ class ProcessTransport final : public Transport {
   RankComputeSetup rank_setup_;
   std::vector<std::uint8_t> body_;   // frame-body scratch (init/step/collect)
   std::vector<std::uint8_t> reply_;  // worker reply-body scratch
+  util::U64Set distinct_;            // RankStep's distinct-value union
 };
 
 // Hub-side orchestration shared by the socketpair and MPI flavors

@@ -126,28 +126,28 @@ void ThreadPool::WorkerLoop(int shard) {
 
 void ThreadPool::ParallelFor(
     std::uint64_t begin, std::uint64_t end,
-    const std::function<void(std::uint64_t, std::uint64_t)>& body) {
+    util::FunctionRef<void(std::uint64_t, std::uint64_t)> body) {
   Dispatch(begin, end, nullptr,
            [&body](int, std::uint64_t b, std::uint64_t e) { body(b, e); });
 }
 
 void ThreadPool::ParallelFor(
     std::uint64_t begin, std::uint64_t end,
-    const std::function<void(int, std::uint64_t, std::uint64_t)>& body) {
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body) {
   Dispatch(begin, end, nullptr, body);
 }
 
 void ThreadPool::ParallelFor(
     std::span<const std::uint64_t> bounds,
-    const std::function<void(int, std::uint64_t, std::uint64_t)>& body) {
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body) {
   CheckBounds(bounds);
   Dispatch(bounds.front(), bounds.back(), bounds.data(), body);
 }
 
 void ThreadPool::ParallelReduce(
     std::uint64_t begin, std::uint64_t end,
-    const std::function<void(int, std::uint64_t, std::uint64_t)>& body,
-    const std::function<void(int)>& merge) {
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
+    util::FunctionRef<void(int)> merge) {
   if (begin >= end) return;
   Dispatch(begin, end, nullptr, body);
   // Merge strictly in shard order on this thread: the reduction sees the
@@ -157,8 +157,8 @@ void ThreadPool::ParallelReduce(
 
 void ThreadPool::ParallelReduce(
     std::span<const std::uint64_t> bounds,
-    const std::function<void(int, std::uint64_t, std::uint64_t)>& body,
-    const std::function<void(int)>& merge) {
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
+    util::FunctionRef<void(int)> merge) {
   CheckBounds(bounds);
   if (bounds.front() >= bounds.back()) return;
   Dispatch(bounds.front(), bounds.back(), bounds.data(), body);
@@ -180,7 +180,7 @@ void ThreadPool::CheckBounds(std::span<const std::uint64_t> bounds) const {
 
 void ThreadPool::Dispatch(
     std::uint64_t begin, std::uint64_t end, const std::uint64_t* bounds,
-    const std::function<void(int, std::uint64_t, std::uint64_t)>& body) {
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body) {
   if (begin >= end) return;
   const int shards = num_shards();
   if (shards == 1) {
@@ -199,7 +199,7 @@ void ThreadPool::Dispatch(
   work_cv_.notify_all();
   // Workers hold a raw pointer to `body` until pending_ hits zero, so if
   // the caller's shard throws we must still wait for them before the
-  // stack (and the std::function) unwinds.
+  // stack (and the callable `body` refers to) unwinds.
   const auto drain = [this] {
     util::MutexLock lk(mu_);
     while (pending_ != 0) done_cv_.wait(lk.native());

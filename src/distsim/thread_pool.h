@@ -23,12 +23,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "util/function_ref.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -56,14 +56,14 @@ class ThreadPool {
   // thread; the pool stays usable afterwards.
   void ParallelFor(
       std::uint64_t begin, std::uint64_t end,
-      const std::function<void(std::uint64_t, std::uint64_t)>& body);
+      util::FunctionRef<void(std::uint64_t, std::uint64_t)> body);
 
   // Shard-indexed variant: body(shard, chunk_begin, chunk_end) — the same
   // static partition, with the shard index exposed so each chunk can use
   // shard-private scratch (offset rows, partial buffers) without a merge.
   void ParallelFor(
       std::uint64_t begin, std::uint64_t end,
-      const std::function<void(int, std::uint64_t, std::uint64_t)>& body);
+      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body);
 
   // Sharded map-reduce. Like ParallelFor, but body also receives its shard
   // index so each shard can accumulate partials into a slot the caller
@@ -75,8 +75,8 @@ class ThreadPool {
   // any body shard threw (the exception is rethrown first).
   void ParallelReduce(
       std::uint64_t begin, std::uint64_t end,
-      const std::function<void(int, std::uint64_t, std::uint64_t)>& body,
-      const std::function<void(int)>& merge);
+      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
+      util::FunctionRef<void(int)> merge);
 
   // Bounded variants: run over a caller-precomputed partition instead of
   // the equal-count split. `bounds` must be ascending with exactly
@@ -87,11 +87,11 @@ class ThreadPool {
   // only per-shard load.
   void ParallelFor(
       std::span<const std::uint64_t> bounds,
-      const std::function<void(int, std::uint64_t, std::uint64_t)>& body);
+      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body);
   void ParallelReduce(
       std::span<const std::uint64_t> bounds,
-      const std::function<void(int, std::uint64_t, std::uint64_t)>& body,
-      const std::function<void(int)>& merge);
+      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
+      util::FunctionRef<void(int)> merge);
 
   // The contiguous chunk [begin, end) is split into for a given shard —
   // pure arithmetic, exposed so callers and tests can pin the static
@@ -121,7 +121,7 @@ class ThreadPool {
   // per-shard boundaries (num_shards() + 1 entries).
   void Dispatch(
       std::uint64_t begin, std::uint64_t end, const std::uint64_t* bounds,
-      const std::function<void(int, std::uint64_t, std::uint64_t)>& body);
+      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body);
   // KCORE_CHECKs the bounded-overload contract (size, monotonicity).
   void CheckBounds(std::span<const std::uint64_t> bounds) const;
   void WorkerLoop(int shard);
@@ -150,7 +150,7 @@ class ThreadPool {
   // Current job descriptor: written under mu_ by Dispatch, read
   // lock-free by RunShard under the generation protocol above, cleared
   // under mu_ by the drain.
-  const std::function<void(int, std::uint64_t, std::uint64_t)>* body_
+  const util::FunctionRef<void(int, std::uint64_t, std::uint64_t)>* body_
       KCORE_GUARDED_BY(mu_) = nullptr;
   std::uint64_t job_begin_ KCORE_GUARDED_BY(mu_) = 0;
   std::uint64_t job_end_ KCORE_GUARDED_BY(mu_) = 0;

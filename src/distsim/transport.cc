@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <span>
 
 #include "distsim/process_transport.h"
 #include "distsim/thread_pool.h"
+#include "util/function_ref.h"
 #include "util/logging.h"
 #include "util/wire.h"
 
@@ -22,7 +22,7 @@ using graph::NodeId;
 // shards' bodies; transports must not rely on a body running for them.
 void RunSharded(
     const ExchangeContext& ctx,
-    const std::function<void(int, std::uint64_t, std::uint64_t)>& body) {
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body) {
   if (ctx.pool != nullptr) {
     ctx.pool->ParallelFor(
         std::span<const std::uint64_t>(ctx.bounds,
@@ -42,7 +42,7 @@ std::uint64_t WireMessageBytes(std::uint64_t from, const OutMessage& m) {
          util::VarintSize(m.payload.size()) + 8 * m.payload.size();
 }
 
-std::uint64_t WireBroadcastBytes(std::uint64_t v, const Payload& p) {
+std::uint64_t WireBroadcastBytes(std::uint64_t v, std::span<const double> p) {
   return util::VarintSize(v) + util::VarintSize(p.size()) + 8 * p.size();
 }
 

@@ -101,7 +101,7 @@ std::uint64_t WireMessageBytes(std::uint64_t from, const OutMessage& m);
 // Absolute encoding, so the analytic in-engine census
 // (RoundStats::bcast_bytes_*) and the per-rank measured volume agree
 // byte for byte.
-std::uint64_t WireBroadcastBytes(std::uint64_t v, const Payload& p);
+std::uint64_t WireBroadcastBytes(std::uint64_t v, std::span<const double> p);
 
 // Index of the partition cell owning node u (empty cells own nothing).
 int OwnerIndex(const std::uint64_t* bounds, int cells, graph::NodeId u);

@@ -55,8 +55,7 @@ double DynamicCoreMaintenance::Recompute(NodeId v) {
   }
   return core::UpdateStep({scratch_values_.data(), d},
                           {scratch_weights_.data(), d},
-                          {scratch_order_.data(), d})
-      .b;
+                          {scratch_order_.data(), d});
 }
 
 UpdateStats DynamicCoreMaintenance::Descend(std::span<const NodeId> seeds) {

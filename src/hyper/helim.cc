@@ -64,8 +64,7 @@ std::vector<double> HyperSurvivingNumbers(const Hypergraph& h, int rounds) {
         b[v] = 0.0;
         continue;
       }
-      std::vector<double> values(inc.size());
-      std::vector<double> weights(inc.size());
+      const core::UpdateInputs in = core::ThreadUpdateInputs(inc.size());
       for (std::size_t i = 0; i < inc.size(); ++i) {
         const HEdge& e = h.edge(inc[i]);
         // The edge survives threshold x iff every OTHER member does:
@@ -74,10 +73,10 @@ std::vector<double> HyperSurvivingNumbers(const Hypergraph& h, int rounds) {
         for (NodeId u : e.nodes) {
           if (u != v) mn = std::min(mn, prev[u]);
         }
-        values[i] = mn;  // singleton edge: +inf (always survives)
-        weights[i] = e.w;
+        in.values[i] = mn;  // singleton edge: +inf (always survives)
+        in.weights[i] = e.w;
       }
-      b[v] = core::UpdateStep(values, weights, order[v]).b;
+      b[v] = core::UpdateStep(in.values, in.weights, order[v]);
     }
   }
   return b;

@@ -12,7 +12,6 @@
 namespace kcore::hyper {
 
 using distsim::NodeContext;
-using distsim::Payload;
 using graph::AdjEntry;
 
 namespace {
@@ -57,7 +56,6 @@ HyperEliminationProtocol::HyperEliminationProtocol(const Hypergraph& h)
   weights_.resize(n);
   b_.assign(n, std::numeric_limits<double>::infinity());
   order_.resize(n);
-  scratch_values_.resize(n);
   for (NodeId v = 0; v < n; ++v) {
     const auto inc = h.IncidentEdges(v);
     member_off_[v].reserve(inc.size() + 1);
@@ -74,7 +72,6 @@ HyperEliminationProtocol::HyperEliminationProtocol(const Hypergraph& h)
     }
     order_[v].resize(inc.size());
     std::iota(order_[v].begin(), order_[v].end(), 0u);
-    scratch_values_[v].resize(inc.size());
   }
 }
 
@@ -97,19 +94,19 @@ void HyperEliminationProtocol::Round(NodeContext& ctx) {
   // Per incident edge: min over the OTHER members' previous surviving
   // numbers (singleton edge: empty range, +inf — it always survives).
   // Every node broadcasts every round, so a missing one is a bug.
-  auto& values = scratch_values_[v];
+  const std::span<double> values = core::ThreadUpdateInputs(k).values;
   for (std::size_t i = 0; i < k; ++i) {
     double mn = std::numeric_limits<double>::infinity();
     for (std::uint32_t j = member_off_[v][i]; j < member_off_[v][i + 1];
          ++j) {
-      const Payload* p = ctx.NeighborBroadcast(member_idx_[v][j]);
-      KCORE_CHECK_MSG(p != nullptr && !p->empty(),
+      const distsim::BroadcastView p = ctx.NeighborBroadcast(member_idx_[v][j]);
+      KCORE_CHECK_MSG(p && !p.empty(),
                       "missing broadcast from co-member of " << v);
-      mn = std::min(mn, (*p)[0]);
+      mn = std::min(mn, p[0]);
     }
     values[i] = mn;
   }
-  b_[v] = core::UpdateStep(values, weights_[v], order_[v]).b;
+  b_[v] = core::UpdateStep(values, weights_[v], order_[v]);
   ctx.Broadcast({b_[v]});
 }
 

@@ -86,8 +86,6 @@ class HyperEliminationProtocol : public distsim::Protocol {
   // Mutable per-node state.
   std::vector<double> b_;
   std::vector<std::vector<std::uint32_t>> order_;
-  // Scratch, indexed per node to stay race-free under threading.
-  std::vector<std::vector<double>> scratch_values_;
 };
 
 struct HyperElimResult {

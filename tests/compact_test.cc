@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "core/compact.h"
 #include "core/elimination.h"
 #include "core/montresor.h"
+#include "core/update.h"
 #include "graph/generators.h"
 #include "seq/brute.h"
 #include "seq/kcore.h"
@@ -248,6 +254,126 @@ TEST(CompactElimination, ThreadedMatchesSequential) {
   const CompactResult r1 = RunCompactElimination(g, o1);
   const CompactResult r4 = RunCompactElimination(g, o4);
   EXPECT_EQ(r1.b, r4.b);
+}
+
+// The compact round body as it was before rounds went allocation-free:
+// fresh value/weight vectors per node-round, std::stable_sort on the
+// persisted order, N copied out of every Update. A synchronous loop over
+// a snapshot of b stands in for the engine.
+struct ReferenceRun {
+  std::vector<double> b;
+  std::vector<std::vector<std::uint32_t>> in_sets;
+};
+
+ReferenceRun ReferenceCompact(const Graph& g, const CompactOptions& opts) {
+  const NodeId n = g.num_nodes();
+  ReferenceRun out;
+  out.b.assign(n, std::numeric_limits<double>::infinity());
+  std::vector<std::vector<std::uint32_t>> order(n);
+  if (opts.track_orientation) out.in_sets.resize(n);
+  for (NodeId v = 0; v < n; ++v) {
+    order[v].resize(g.Degree(v));
+    std::iota(order[v].begin(), order[v].end(), 0u);
+    if (opts.track_orientation) out.in_sets[v] = order[v];
+  }
+  for (int t = 0; t < opts.rounds; ++t) {
+    const std::vector<double> prev = out.b;
+    for (NodeId v = 0; v < n; ++v) {
+      const auto nbrs = g.Neighbors(v);
+      const std::size_t d = nbrs.size();
+      if (d == 0) {
+        out.b[v] = 0.0;
+        continue;
+      }
+      std::vector<double> values(d), weights(d);
+      for (std::size_t i = 0; i < d; ++i) {
+        values[i] = prev[nbrs[i].to];
+        weights[i] = nbrs[i].w;
+      }
+      std::vector<std::uint32_t>& ord = order[v];
+      if (!opts.stateful_tiebreak) std::iota(ord.begin(), ord.end(), 0u);
+      std::stable_sort(ord.begin(), ord.end(),
+                       [&](std::uint32_t a, std::uint32_t c) {
+                         return values[a] < values[c];
+                       });
+      double nb = 0.0;
+      std::vector<std::uint32_t> chosen;
+      double s = 0.0;
+      for (std::size_t i = d; i-- > 0;) {
+        s += weights[ord[i]];
+        const double prev_value =
+            i > 0 ? values[ord[i - 1]]
+                  : -std::numeric_limits<double>::infinity();
+        if (s > prev_value) {
+          const double bi = values[ord[i]];
+          nb = s <= bi ? s : bi;
+          chosen.assign(ord.begin() + static_cast<std::ptrdiff_t>(
+                                          s <= bi ? i : i + 1),
+                        ord.end());
+          break;
+        }
+      }
+      if (opts.lambda > 0.0) nb = RoundDownToPower(nb, opts.lambda);
+      if (nb != out.b[v]) out.b[v] = nb;
+      if (opts.track_orientation) {
+        std::sort(chosen.begin(), chosen.end());
+        out.in_sets[v] = std::move(chosen);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(CompactElimination, MatchesReferenceLoopOnWeightedGraphs) {
+  // The goldens are unit-weight; this pins the allocation-free round
+  // (slot reads, per-thread scratch, the hybrid stable sort) bit for bit
+  // against the reference loop on real and integer weights, in-engine at
+  // 1 and 4 threads and with per-rank compute at 2 ranks.
+  util::Rng rng(31);
+  const Graph base = graph::PowerLawConfiguration(1500, 2.2, 2, 200, rng);
+  const std::vector<Graph> graphs = {
+      graph::WithUniformWeights(base, 0.25, 4.0, rng),
+      graph::WithIntegerWeights(base, 3, rng)};
+  enum class Deploy { kOneThread, kFourThreads, kTwoRanks };
+  for (const Graph& g : graphs) {
+    for (double lambda : {0.0, 0.1}) {
+      for (bool track : {false, true}) {
+        if (track && lambda > 0.0) continue;  // N_v needs Lambda = R
+        for (bool stateful : {true, false}) {
+          CompactOptions opts;
+          opts.rounds = 8;
+          opts.lambda = lambda;
+          opts.track_orientation = track;
+          opts.stateful_tiebreak = stateful;
+          const ReferenceRun ref = ReferenceCompact(g, opts);
+          for (Deploy d :
+               {Deploy::kOneThread, Deploy::kFourThreads, Deploy::kTwoRanks}) {
+            CompactOptions o = opts;
+            if (d == Deploy::kFourThreads) {
+              o.num_threads = 4;
+              o.balance_shards = true;
+            } else if (d == Deploy::kTwoRanks) {
+              o.transport = distsim::TransportKind::kProcess;
+              o.ranks = 2;
+              o.per_rank_compute = true;
+            }
+            const CompactResult r = RunCompactElimination(g, o);
+            SCOPED_TRACE(::testing::Message()
+                         << "lambda=" << lambda << " track=" << track
+                         << " stateful=" << stateful
+                         << " deploy=" << static_cast<int>(d));
+            ASSERT_EQ(r.b.size(), ref.b.size());
+            for (NodeId v = 0; v < g.num_nodes(); ++v) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(r.b[v]),
+                        std::bit_cast<std::uint64_t>(ref.b[v]))
+                  << "node " << v;
+            }
+            EXPECT_EQ(r.in_sets, ref.in_sets);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SingleThreshold, ShrinkingSurvivorSets) {

@@ -32,9 +32,9 @@ class MaxFlood : public Protocol {
   void Round(NodeContext& ctx) override {
     const NodeId v = ctx.id();
     for (std::size_t i = 0; i < ctx.neighbors().size(); ++i) {
-      const Payload* p = ctx.NeighborBroadcast(i);
-      if (p != nullptr && !p->empty()) {
-        value_[v] = std::max(value_[v], static_cast<NodeId>((*p)[0]));
+      const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+      if (p && !p.empty()) {
+        value_[v] = std::max(value_[v], static_cast<NodeId>(p[0]));
       }
     }
     ctx.Broadcast({static_cast<double>(value_[v])});

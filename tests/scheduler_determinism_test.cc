@@ -123,12 +123,12 @@ class BroadcastStorm : public distsim::Protocol {
   void Round(NodeContext& ctx) override {
     std::uint64_t& h = digest_[ctx.id()];
     for (std::size_t i = 0; i < ctx.neighbors().size(); ++i) {
-      const Payload* p = ctx.NeighborBroadcast(i);
-      if (p == nullptr) {
+      const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+      if (!p) {
         h = Mix(h, 0xdeadULL);
         continue;
       }
-      for (double x : *p) h = MixDouble(h, x);
+      for (double x : p) h = MixDouble(h, x);
     }
     Shout(ctx);
   }

@@ -226,12 +226,12 @@ class BroadcastOnly : public distsim::Protocol {
   void Round(NodeContext& ctx) override {
     std::uint64_t& h = digest_[ctx.id()];
     for (std::size_t i = 0; i < ctx.neighbors().size(); ++i) {
-      const Payload* p = ctx.NeighborBroadcast(i);
-      if (p == nullptr) {
+      const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
+      if (!p) {
         h = Mix(h, 0xdeadULL);
         continue;
       }
-      for (double x : *p) h = MixDouble(h, x);
+      for (double x : p) h = MixDouble(h, x);
     }
     FoldInbox(ctx, h);  // must fold nothing, every round
     Shout(ctx);
@@ -893,7 +893,9 @@ TEST(PerRankCompute, SilentRoundsReportZeroBytes) {
   // like the in-engine path — and loud rounds the identical count.
   EXPECT_EQ(BytesPerRound(e), BytesPerRound(eb));
   for (const RoundStats& r : e.history()) {
-    if (r.round % 4 != 1) EXPECT_EQ(r.bytes_sent, 0u) << "round " << r.round;
+    if (r.round % 4 != 1) {
+      EXPECT_EQ(r.bytes_sent, 0u) << "round " << r.round;
+    }
   }
 }
 
