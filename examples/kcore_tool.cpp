@@ -161,8 +161,14 @@ int CmdOrientation(const Flags& flags) {
       kcore::examples::PerRankComputeFromFlags(flags, transport);
   const int T = kcore::core::RoundsForEpsilon(g.num_nodes(), eps);
   const double rho = kcore::seq::MaxDensity(g);
+  kcore::core::CompactOptions engine;
+  engine.num_threads = threads;
+  engine.balance_shards = balance;
+  engine.transport = transport;
+  engine.ranks = ranks;
+  engine.per_rank_compute = per_rank;
   const auto ours = kcore::core::RunDistributedOrientation(
-      g, T, kcore::core::ConflictRule::kLowerLoad, threads);
+      g, T, kcore::core::ConflictRule::kLowerLoad, engine);
   const auto two_phase = kcore::core::RunTwoPhaseOrientation(
       g, T, eps, -1, threads, kcore::distsim::kDefaultMasterSeed, balance,
       transport, ranks, per_rank);

@@ -42,13 +42,15 @@ CompactElimination::CompactElimination(const graph::Graph& g,
   }
   const NodeId n = g.num_nodes();
   b_.assign(n, std::numeric_limits<double>::infinity());
-  order_.resize(n);
+  order_.resize(n == 0 ? 0 : g.AdjOffset(n));
+  warm_.assign(n, 0);
   last_change_.assign(n, 0);
   if (opts_.track_orientation) in_sets_.resize(n);
   for (NodeId v = 0; v < n; ++v) {
     const auto deg = g.Degree(v);
-    order_[v].resize(deg);
-    std::iota(order_[v].begin(), order_[v].end(), 0u);  // id order (sorted)
+    max_degree_ = std::max<std::size_t>(max_degree_, deg);
+    const std::span<std::uint32_t> order = Order(v);
+    std::iota(order.begin(), order.end(), 0u);  // id order (sorted)
     if (opts_.track_orientation) {
       // N_v starts as all neighbors (Algorithm 2, line 1).
       in_sets_[v].resize(deg);
@@ -77,9 +79,18 @@ void CompactElimination::Round(NodeContext& ctx) {
     return;
   }
 
+  // Update is a pure function of the neighbors' values and the order, and
+  // a stable re-sort of an order already sorted by the same values is the
+  // identity; so once v has run an Update here, unchanged neighbor
+  // broadcasts (bitwise) reproduce b, the order and N_v exactly.
+  if (warm_[v] != 0 && ctx.NeighborsUnchanged()) {
+    ctx.Broadcast({b_[v]});
+    return;
+  }
+
   // Gather the neighbors' surviving numbers. In this protocol every node
   // broadcasts every round, so a missing broadcast is a bug.
-  const UpdateInputs in = ThreadUpdateInputs(d);
+  const UpdateInputs in = ThreadUpdateInputs(d, max_degree_);
   for (std::size_t i = 0; i < d; ++i) {
     const distsim::BroadcastView p = ctx.NeighborBroadcast(i);
     KCORE_CHECK_MSG(p && !p.empty(),
@@ -88,14 +99,14 @@ void CompactElimination::Round(NodeContext& ctx) {
     in.weights[i] = nbrs[i].w;
   }
 
-  if (!opts_.stateful_tiebreak) {
-    std::iota(order_[v].begin(), order_[v].end(), 0u);
-  }
+  const std::span<std::uint32_t> order = Order(v);
+  if (!opts_.stateful_tiebreak) std::iota(order.begin(), order.end(), 0u);
   // N_v is written straight into in_sets_[v] (reusing its storage), and
   // only when orientation is tracked.
   std::vector<std::uint32_t>* chosen =
       opts_.track_orientation ? &in_sets_[v] : nullptr;
-  double nb = UpdateStep(in.values, in.weights, order_[v], chosen);
+  double nb = UpdateStep(in.values, in.weights, order, chosen);
+  warm_[v] = 1;
   if (opts_.lambda > 0.0) nb = RoundDownToPower(nb, opts_.lambda);
   if (nb != b_[v]) {
     b_[v] = nb;
@@ -110,8 +121,9 @@ void CompactElimination::SaveNodeState(NodeId v,
   out.Double(b_[v]);
   out.Fixed64(static_cast<std::uint64_t>(
       static_cast<std::int64_t>(last_change_[v])));
-  out.Varint(order_[v].size());
-  for (std::uint32_t i : order_[v]) out.Fixed32(i);
+  const std::span<const std::uint32_t> order = Order(v);
+  out.Varint(order.size());
+  for (std::uint32_t i : order) out.Fixed32(i);
   if (opts_.track_orientation) {
     out.Varint(in_sets_[v].size());
     for (std::uint32_t i : in_sets_[v]) out.Fixed32(i);
@@ -121,8 +133,16 @@ void CompactElimination::SaveNodeState(NodeId v,
 void CompactElimination::LoadNodeState(NodeId v, util::WireReader& in) {
   b_[v] = in.Double();
   last_change_[v] = static_cast<int>(static_cast<std::int64_t>(in.Fixed64()));
-  order_[v].resize(in.Varint());
-  for (std::uint32_t& i : order_[v]) i = in.Fixed32();
+  warm_[v] = 0;
+  // The order's length is the degree; any other length fails the reader
+  // (the caller's block-length check reports it).
+  const std::span<std::uint32_t> order = Order(v);
+  std::uint64_t len = 0;
+  if (!in.TryVarint(&len) || len != order.size()) {
+    in.Fail();
+    return;
+  }
+  for (std::uint32_t& i : order) i = in.Fixed32();
   if (opts_.track_orientation) {
     in_sets_[v].resize(in.Varint());
     for (std::uint32_t& i : in_sets_[v]) i = in.Fixed32();

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "distsim/engine.h"
@@ -99,13 +100,28 @@ class CompactElimination : public distsim::Protocol {
   const std::vector<int>& last_change_round() const { return last_change_; }
 
  private:
+  // v's tie-break order: its slice of order_.
+  std::span<std::uint32_t> Order(graph::NodeId v) {
+    return {order_.data() + graph_.AdjOffset(v), graph_.Degree(v)};
+  }
+  std::span<const std::uint32_t> Order(graph::NodeId v) const {
+    return {order_.data() + graph_.AdjOffset(v), graph_.Degree(v)};
+  }
+
   const graph::Graph& graph_;
   CompactOptions opts_;
   std::vector<double> b_;
-  // Persistent per-node neighbor permutation for the stable tie-breaking.
-  std::vector<std::vector<std::uint32_t>> order_;
+  // Persistent neighbor permutations for the stable tie-breaking, one
+  // flat array laid out like the adjacency (graph::Graph::AdjOffset).
+  std::vector<std::uint32_t> order_;
+  // warm_[v] != 0 iff v ran an Update in this object since construction
+  // or its last LoadNodeState — the precondition for skipping Update on
+  // unchanged neighbor broadcasts.
+  std::vector<std::uint8_t> warm_;
   std::vector<std::vector<std::uint32_t>> in_sets_;
   std::vector<int> last_change_;
+  // The reserve for each thread's Update scratch (ThreadUpdateInputs).
+  std::size_t max_degree_ = 0;
 };
 
 struct CompactResult {

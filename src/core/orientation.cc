@@ -13,13 +13,12 @@ using graph::NodeId;
 
 DistOrientationResult RunDistributedOrientation(const Graph& g, int rounds,
                                                 ConflictRule rule,
-                                                int num_threads) {
-  CompactOptions opts;
-  opts.rounds = rounds;
-  opts.lambda = 0.0;
-  opts.track_orientation = true;
-  opts.num_threads = num_threads;
-  CompactResult compact = RunCompactElimination(g, opts);
+                                                CompactOptions engine) {
+  engine.rounds = rounds;
+  engine.lambda = 0.0;
+  engine.track_orientation = true;
+  engine.record_rounds = false;
+  CompactResult compact = RunCompactElimination(g, engine);
 
   DistOrientationResult out;
   out.b = compact.b;

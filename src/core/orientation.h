@@ -43,8 +43,12 @@ struct DistOrientationResult {
 };
 
 // Runs the full distributed orientation pipeline on g (self-loop free).
+// `engine` carries the simulator settings (threads, shard balancing,
+// transport, ranks, per-rank compute, seed); its rounds, lambda,
+// track_orientation and record_rounds are overridden here.
 DistOrientationResult RunDistributedOrientation(
     const graph::Graph& g, int rounds,
-    ConflictRule rule = ConflictRule::kLowerLoad, int num_threads = 1);
+    ConflictRule rule = ConflictRule::kLowerLoad,
+    CompactOptions engine = {});
 
 }  // namespace kcore::core

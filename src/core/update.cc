@@ -29,6 +29,11 @@ void InsertionSort(std::uint32_t* first, std::uint32_t* last,
   }
 }
 
+// This thread's Update scratch: ThreadUpdateInputs' gather buffers and
+// UpdateStep's merge buffer (which ThreadUpdateInputs' reserve sizes too).
+thread_local std::vector<double> tl_values, tl_weights;
+thread_local std::vector<std::uint32_t> tl_merge_buf;
+
 // Stable sort of `order` by values ascending: insertion-sorted runs of
 // kInsertionRun, then bottom-up merges of adjacent runs. A merge copies
 // its left run into `buf` and merges back, taking the left entry on ties
@@ -74,8 +79,7 @@ double UpdateStep(std::span<const double> values,
   // Stable sort by current values: ties keep the order induced by all past
   // rounds (most recent first), bottoming out at the caller's initial
   // id-order — the paper's tie-breaking rule.
-  thread_local std::vector<std::uint32_t> merge_buf;
-  StableSortByValue(order, values.data(), merge_buf);
+  StableSortByValue(order, values.data(), tl_merge_buf);
 
   // Scan thresholds from the largest down (Algorithm 3). With sorted
   // b_1 <= ... <= b_d and suffix sum s_i = sum_{j >= i} w_j, the first
@@ -103,13 +107,14 @@ double UpdateStep(std::span<const double> values,
   return 0.0;
 }
 
-UpdateInputs ThreadUpdateInputs(std::size_t d) {
-  thread_local std::vector<double> values, weights;
-  if (values.size() < d) {
-    values.resize(d);
-    weights.resize(d);
+UpdateInputs ThreadUpdateInputs(std::size_t d, std::size_t reserve) {
+  if (tl_values.size() < d || tl_values.size() < reserve) {
+    const std::size_t size = std::max(d, reserve);
+    tl_values.resize(size);
+    tl_weights.resize(size);
+    if (tl_merge_buf.size() < size) tl_merge_buf.resize(size);
   }
-  return {{values.data(), d}, {weights.data(), d}};
+  return {{tl_values.data(), d}, {tl_weights.data(), d}};
 }
 
 double UpdateValueBruteForce(std::span<const double> values,

@@ -43,12 +43,16 @@ double UpdateStep(std::span<const double> values,
 // This thread's gather buffers for UpdateStep's values and weights, each
 // at least d long. They grow and never shrink, so a protocol that
 // gathers its neighbors' values every node-round allocates nothing once
-// warm. The contents are scratch, valid until the thread's next call.
+// warm. `reserve` is a bound on every d the caller will ask for (say the
+// graph's maximum degree): the first growth sizes the buffers, and
+// UpdateStep's merge buffer, to it, so a thread allocates once however
+// the engine's dynamic compute chunks spread the nodes over threads. The
+// contents are scratch, valid until the thread's next call.
 struct UpdateInputs {
   std::span<double> values;
   std::span<double> weights;
 };
-UpdateInputs ThreadUpdateInputs(std::size_t d);
+UpdateInputs ThreadUpdateInputs(std::size_t d, std::size_t reserve = 0);
 
 // Reference brute-force for tests: the maximum b such that
 // sum_{i: values[i] >= b} weights[i] >= b (no auxiliary subset). The

@@ -18,14 +18,31 @@
 // is O(1) — no per-round sweep over n slots, and a worker's remote
 // slots from an earlier round lapse on their own.
 //
+// Changed flags: every buffer also keeps one byte per node saying
+// whether the node's broadcast there is bitwise equal (presence, length,
+// and every entry's bit pattern) to its previous visible broadcast —
+// Stage compares against Visible, a rank worker's Deliver against the
+// previous round's delivery. Protocols read the visible side through
+// NodeContext::NeighborsUnchanged to skip recomputing from inputs that
+// did not move; that test touches these n bytes instead of the 24-byte
+// slots. A byte means "unchanged" only when it equals its buffer's
+// current tag, and every Publish gives the emptied buffer a fresh tag,
+// so stale bytes — and with them absent slots — read as changed without
+// a sweep (one sweep of the n bytes every 255 uses of a buffer, when its
+// byte-sized tag wraps). Reset, ClaimVisible and ClearVisible mark the
+// slot changed.
+//
 // Concurrency: Stage/ClaimVisible for distinct nodes may run
-// concurrently (disjoint slots; the one-time overflow setup is guarded
-// by a once_flag); everything else runs between rounds.
+// concurrently (disjoint slots and flag bytes; the one-time overflow
+// setup is guarded by a once_flag); everything else runs between rounds.
+// Stage writes the staging buffer's flags while neighbors read the
+// visible buffer's, so the two never share a byte.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <mutex>  // std::once_flag
 #include <span>
 #include <utility>
@@ -65,8 +82,11 @@ class BroadcastStore {
   // Sizes both buffers for n nodes, every slot absent. Call once,
   // before any other member.
   void Reset(graph::NodeId n) {
-    prev_.slots.assign(n, Slot{});
-    next_.slots.assign(n, Slot{});
+    for (Buffer* b : {&prev_, &next_}) {
+      b->slots.assign(n, Slot{});
+      b->same.assign(n, 0);
+      b->tag = 1;
+    }
     prev_.epoch = 1;
     next_.epoch = 2;
     epoch_ = 2;
@@ -77,19 +97,45 @@ class BroadcastStore {
   // The broadcast v staged this round (what the census and packers read).
   BroadcastView Staged(graph::NodeId v) const { return next_.View(v); }
 
-  // Stages v's broadcast for the next round, replacing any earlier one.
-  void Stage(graph::NodeId v, std::span<const double> p) {
-    const std::span<double> dst = Claim(next_, v, p.size());
-    std::copy(p.begin(), p.end(), dst.begin());
+  // Whether v's visible broadcast is present and bitwise equal to its
+  // visible broadcast of the round before (see "Changed flags" above).
+  bool VisibleUnchanged(graph::NodeId v) const {
+    return prev_.same[v] == prev_.tag;
   }
 
-  // Marks v's visible slot present with `size` entries and returns them
-  // for the caller to fill: a worker decoding a peer's fan-out, or the
-  // coordinator loading fetched worker state.
+  // Stages v's broadcast for the next round, replacing any earlier one,
+  // and flags it changed unless it equals v's visible broadcast.
+  void Stage(graph::NodeId v, std::span<const double> p) {
+    const bool same = BitwiseEqual(p, Visible(v));
+    const std::span<double> dst = Claim(next_, v, p.size());
+    std::copy(p.begin(), p.end(), dst.begin());
+    next_.same[v] = same ? next_.tag : 0;
+  }
+
+  // Makes p node v's visible broadcast after a Publish, flagged changed
+  // unless it equals v's previous visible broadcast — still in the
+  // staging buffer, which only v's owner stages into. For a rank worker
+  // decoding a peer's fan-out for a node it does not own.
+  void Deliver(graph::NodeId v, std::span<const double> p) {
+    const Slot& old = next_.slots[v];
+    const bool same = old.stamp != 0 && old.stamp == next_.retired &&
+                      BitwiseEqual(p, next_.Data(v, old.size));
+    const std::span<double> dst = Claim(prev_, v, p.size());
+    std::copy(p.begin(), p.end(), dst.begin());
+    prev_.same[v] = same ? prev_.tag : 0;
+  }
+
+  // Marks v's visible slot present (and changed) with `size` entries and
+  // returns them for the caller to fill: the coordinator loading fetched
+  // worker state.
   std::span<double> ClaimVisible(graph::NodeId v, std::size_t size) {
+    prev_.same[v] = 0;
     return Claim(prev_, v, size);
   }
-  void ClearVisible(graph::NodeId v) { prev_.slots[v].stamp = 0; }
+  void ClearVisible(graph::NodeId v) {
+    prev_.slots[v].stamp = 0;
+    prev_.same[v] = 0;
+  }
 
   // Whether any node in [lo, hi) staged a broadcast that differs from
   // its visible one — in presence, length, or any entry (compared with
@@ -110,7 +156,12 @@ class BroadcastStore {
   // Staged broadcasts become visible; the staging buffer starts empty.
   void Publish() {
     std::swap(prev_, next_);
+    next_.retired = next_.epoch;
     next_.epoch = ++epoch_;
+    if (++next_.tag == 0) {
+      std::fill(next_.same.begin(), next_.same.end(), std::uint8_t{0});
+      next_.tag = 1;
+    }
   }
 
  private:
@@ -124,15 +175,33 @@ class BroadcastStore {
     // Per-node storage for payloads longer than kInline; empty until the
     // first one (then sized n, in both buffers at once).
     std::vector<std::vector<double>> overflow;
+    // Changed flags: same[v] == tag iff v's slot was filled this epoch
+    // with its previous visible broadcast, bit for bit. tag is never 0.
+    std::vector<std::uint8_t> same;
+    std::uint8_t tag = 1;
     std::uint32_t epoch = 0;
+    // The epoch this buffer had while it was last the visible one (0:
+    // never; no slot is stamped 0 while present).
+    std::uint32_t retired = 0;
 
     BroadcastView View(graph::NodeId v) const {
       const Slot& s = slots[v];
       if (s.stamp != epoch) return {};
-      return {s.size <= kInline ? s.inline_data : overflow[v].data(),
-              s.size};
+      return Data(v, s.size);
+    }
+    BroadcastView Data(graph::NodeId v, std::size_t size) const {
+      return {size <= kInline ? slots[v].inline_data : overflow[v].data(),
+              size};
     }
   };
+
+  // Presence, length and entry bit patterns all equal (so 0.0 and -0.0
+  // differ, and a NaN equals only its own bit pattern).
+  static bool BitwiseEqual(std::span<const double> p, BroadcastView b) {
+    return b.present() && b.size() == p.size() &&
+           (p.empty() ||
+            std::memcmp(p.data(), b.begin(), p.size() * sizeof(double)) == 0);
+  }
 
   std::span<double> Claim(Buffer& b, graph::NodeId v, std::size_t size) {
     Slot& s = b.slots[v];

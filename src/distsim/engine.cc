@@ -178,6 +178,22 @@ void Engine::BuildShardBounds() {
         halted_[v] ? 1 : static_cast<std::uint64_t>(graph_.Degree(v)) + 1;
   }
   shard_bounds_ = ThreadPool::WeightedShardBounds(weights, pool_->num_shards());
+  compute_chunks_ = ThreadPool::WeightedShardBounds(
+      weights, pool_->num_shards() * kComputeChunksPerThread);
+}
+
+std::span<const std::uint64_t> Engine::ComputeChunks() {
+  if (balance_shards_) return compute_chunks_;
+  if (compute_chunks_.empty()) {
+    const int chunks = pool_->num_shards() * kComputeChunksPerThread;
+    const NodeId n = graph_.num_nodes();
+    compute_chunks_.resize(static_cast<std::size_t>(chunks) + 1);
+    for (int c = 0; c < chunks; ++c) {
+      compute_chunks_[c] = ThreadPool::ShardBounds(0, n, c, chunks).first;
+    }
+    compute_chunks_[chunks] = n;
+  }
+  return compute_chunks_;
 }
 
 std::span<const std::uint64_t> Engine::ActiveBounds() {
@@ -204,12 +220,6 @@ std::span<const std::uint64_t> Engine::ActiveBounds() {
 void Engine::ForSharded(
     util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body) {
   pool_->ParallelFor(ActiveBounds(), body);
-}
-
-void Engine::ReduceSharded(
-    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
-    util::FunctionRef<void(int)> merge) {
-  pool_->ParallelReduce(ActiveBounds(), body, merge);
 }
 
 void Engine::EnsureNodeRng() {
@@ -248,26 +258,7 @@ std::size_t Engine::ComputeRange(Protocol& p, NodeId begin, NodeId end,
   return executed;
 }
 
-void Engine::CensusRange(NodeId begin, NodeId end, CollectPartial& part,
-                         std::uint32_t* counts_row) {
-  if (counts_row != nullptr) {
-    // This shard's per-receiver in-degree row spans ALL receivers (it
-    // counts by sender range), so it must be re-zeroed before counting —
-    // but only when the range actually staged p2p traffic. Shards that
-    // sent nothing (including empty trailing shards, whose body never
-    // runs at all) leave their row stale; the offset pass skips stale
-    // rows via the per-shard p2p flag, so broadcast-only rounds never
-    // pay the O(shards * n) fill.
-    bool any = false;
-    for (NodeId v = begin; v < end && !any; ++v) {
-      any = !outbox_[v].empty();
-    }
-    if (any) {
-      std::fill(counts_row, counts_row + graph_.num_nodes(), 0u);
-    } else {
-      counts_row = nullptr;
-    }
-  }
+void Engine::CensusRange(NodeId begin, NodeId end, CollectPartial& part) {
   for (NodeId v = begin; v < end; ++v) {
     const BroadcastView staged = bcast_.Staged(v);
     if (staged) {
@@ -315,75 +306,64 @@ void Engine::CensusRange(NodeId begin, NodeId end, CollectPartial& part,
       part.entries += m.payload.size();
       part.max_entries = std::max(part.max_entries, m.payload.size());
       ++part.p2p_messages;
-      if (counts_row != nullptr) ++counts_row[m.to];
     }
   }
 }
 
-std::size_t Engine::CensusSequential(RoundStats& stats) {
-  const NodeId n = graph_.num_nodes();
-  if (partials_.empty()) partials_.resize(1);
-  CollectPartial& part = partials_[0];
-  part.Clear();
-  CensusRange(0, n, part, nullptr);
-  stats.messages += part.messages;
-  stats.entries += part.entries;
-  stats.distinct_values = part.distinct.size();
-  stats.bcast_bytes_sent += part.bcast_fanout_bytes;
-  stats.bcast_bytes_received += part.bcast_fanout_bytes;
-  stats.bcast_bytes_per_neighbor += part.bcast_neighbor_bytes;
-  max_entries_per_message_ =
-      std::max(max_entries_per_message_, part.max_entries);
-  return part.p2p_messages;
+std::size_t Engine::MergeCensus(RoundStats& stats) {
+  // Chunk partials merge in chunk order; every merged quantity (sums,
+  // maxes, the size of the distinct-value union) is independent of which
+  // thread censused which chunk.
+  std::size_t total_p2p = 0;
+  for (const CollectPartial& part : partials_) {
+    stats.messages += part.messages;
+    stats.entries += part.entries;
+    stats.bcast_bytes_sent += part.bcast_fanout_bytes;
+    stats.bcast_bytes_received += part.bcast_fanout_bytes;
+    stats.bcast_bytes_per_neighbor += part.bcast_neighbor_bytes;
+    max_entries_per_message_ =
+        std::max(max_entries_per_message_, part.max_entries);
+    total_p2p += part.p2p_messages;
+  }
+  if (partials_.size() == 1) {
+    stats.distinct_values = partials_[0].distinct.size();
+  } else {
+    distinct_.Clear();
+    for (const CollectPartial& part : partials_) {
+      part.distinct.ForEach(
+          [&](std::uint64_t bits) { distinct_.Insert(bits); });
+    }
+    stats.distinct_values = distinct_.size();
+  }
+  return total_p2p;
 }
 
-std::size_t Engine::CensusParallel(RoundStats& stats) {
+void Engine::CountP2pRows() {
   const NodeId n = graph_.num_nodes();
   const int shards = pool_->num_shards();
   p2p_offsets_.resize(static_cast<std::size_t>(shards) * n);
-
-  // Sharded by SENDER: per-shard stats partials + per-(shard, receiver)
-  // p2p counts. Partials merge in shard order on this thread, so every
-  // accumulated quantity (sums, maxes, the distinct-value set) is
-  // independent of how the OS scheduled the shards. Every partial is
-  // cleared up front: the pool skips an empty shard's body, but its
-  // partial still merges.
-  partials_.resize(shards);
-  for (CollectPartial& part : partials_) part.Clear();
-  distinct_.Clear();
-  std::size_t total_p2p = 0;
-  ReduceSharded(
-      [&](int shard, std::uint64_t b, std::uint64_t e) {
-        CensusRange(static_cast<NodeId>(b), static_cast<NodeId>(e),
-                    partials_[shard],
-                    p2p_offsets_.data() +
-                        static_cast<std::size_t>(shard) * n);
-      },
-      [&](int shard) {
-        CollectPartial& part = partials_[shard];
-        stats.messages += part.messages;
-        stats.entries += part.entries;
-        stats.bcast_bytes_sent += part.bcast_fanout_bytes;
-        stats.bcast_bytes_received += part.bcast_fanout_bytes;
-        stats.bcast_bytes_per_neighbor += part.bcast_neighbor_bytes;
-        max_entries_per_message_ =
-            std::max(max_entries_per_message_, part.max_entries);
-        total_p2p += part.p2p_messages;
-        // Set-into-set union: only the merged set's SIZE is read below,
-        // which is order-independent.
-        part.distinct.ForEach(
-            [&](std::uint64_t bits) { distinct_.Insert(bits); });
-      });
-  stats.distinct_values = distinct_.size();
-
-  // Only rows of shards that staged p2p were (re)zeroed and counted this
-  // round; everything else in p2p_offsets_ is stale scratch — the mask
-  // the transport skips stale rows by.
   shard_sent_.assign(shards, 0);
-  for (int s = 0; s < shards; ++s) {
-    shard_sent_[s] = partials_[s].p2p_messages > 0 ? 1 : 0;
-  }
-  return total_p2p;
+  // Sharded by SENDER over the round's partition. A shard's per-receiver
+  // in-degree row spans ALL receivers (it counts by sender range), so it
+  // must be re-zeroed before counting — but only when the range actually
+  // staged p2p traffic. Shards that sent nothing (including empty
+  // trailing shards, whose body never runs at all) leave their row
+  // stale and their shard_sent_ flag 0, which is how the transport skips
+  // stale rows.
+  ForSharded([&](int shard, std::uint64_t b, std::uint64_t e) {
+    bool any = false;
+    for (std::uint64_t v = b; v < e && !any; ++v) {
+      any = !outbox_[v].empty();
+    }
+    if (!any) return;
+    std::uint32_t* row =
+        p2p_offsets_.data() + static_cast<std::size_t>(shard) * n;
+    std::fill(row, row + n, 0u);
+    for (std::uint64_t v = b; v < e; ++v) {
+      for (const OutMessage& m : outbox_[v]) ++row[m.to];
+    }
+    shard_sent_[shard] = 1;
+  });
 }
 
 void Engine::CollectRound(int round) {
@@ -395,8 +375,7 @@ void Engine::CollectRound(int round) {
   stats.active_nodes = active_this_round_;
 
   const bool parallel = UseParallelPhases();
-  const std::size_t total_p2p =
-      parallel ? CensusParallel(stats) : CensusSequential(stats);
+  const std::size_t total_p2p = MergeCensus(stats);
 
   if (total_p2p == 0) {
     // No traffic staged this round: at most, last round's deliveries need
@@ -413,9 +392,10 @@ void Engine::CollectRound(int round) {
       inboxes_dirty_ = false;
     }
   } else {
-    // Hand the staged traffic to the transport. Both census passes and
-    // the exchange share the round's partition (ActiveBounds), which the
+    // Hand the staged traffic to the transport. The count rows and the
+    // exchange share the round's partition (ActiveBounds), which the
     // count/offset contract depends on.
+    if (parallel) CountP2pRows();
     const std::span<const std::uint64_t> bounds = ActiveBounds();
     ExchangeContext ctx;
     ctx.n = graph_.num_nodes();
@@ -449,29 +429,41 @@ void Engine::ComputePhase(Protocol& p, int round) {
   const NodeId n = graph_.num_nodes();
   active_this_round_ = 0;
   if (!UseParallelPhases()) {
+    partials_.resize(1);
+    partials_[0].Clear();
     active_this_round_ = ComputeRange(p, 0, n, round);
+    CensusRange(0, n, partials_[0]);
     return;
   }
-  // Disjoint contiguous id ranges; per-node state writes never alias, so
-  // this is race-free and bit-identical to the sequential order. The
-  // pool persists across rounds — workers are created once per engine.
+  // Disjoint contiguous id chunks; per-node state writes never alias and
+  // every chunk's executed count and census partial are its own (merged
+  // in chunk order), so this is race-free and bit-identical to the
+  // sequential order whichever thread runs a chunk. A chunk is censused
+  // right after its compute: the census reads only the chunk's own
+  // staged broadcasts and outboxes. The pool persists across rounds —
+  // workers are created once per engine.
   if (!pool_) pool_ = std::make_unique<ThreadPool>(num_threads_);
   // Degree-weighted boundaries are built on the Start() sweep and
   // refreshed on the rebalance interval — always here, between rounds,
-  // so the compute sweep and both collect passes of a round share one
-  // fixed partition (the count/offset delivery scheme depends on it).
+  // so the count rows and the exchange of a round share one fixed
+  // partition (the count/offset delivery scheme depends on it).
   if (balance_shards_ &&
       (shard_bounds_.empty() ||
        (rebalance_every_ > 0 && round > 0 && round % rebalance_every_ == 0))) {
     BuildShardBounds();
   }
-  executed_.assign(pool_->num_shards(), 0);
-  ReduceSharded(
-      [&](int shard, std::uint64_t begin, std::uint64_t end) {
-        executed_[shard] = ComputeRange(p, static_cast<NodeId>(begin),
-                                        static_cast<NodeId>(end), round);
-      },
-      [&](int shard) { active_this_round_ += executed_[shard]; });
+  const std::span<const std::uint64_t> chunks = ComputeChunks();
+  executed_.assign(chunks.size() - 1, 0);
+  partials_.resize(chunks.size() - 1);
+  for (CollectPartial& part : partials_) part.Clear();
+  pool_->ParallelForDynamic(
+      chunks, [&](int chunk, std::uint64_t begin, std::uint64_t end) {
+        const auto b = static_cast<NodeId>(begin);
+        const auto e = static_cast<NodeId>(end);
+        executed_[chunk] = ComputeRange(p, b, e, round);
+        CensusRange(b, e, partials_[chunk]);
+      });
+  for (const std::size_t e : executed_) active_this_round_ += e;
 }
 
 void Engine::Start(Protocol& p) {

@@ -15,17 +15,24 @@
 //     entries, and the number of distinct broadcast values (the knob the
 //     paper's Λ-discretization optimizes for CONGEST-size messages).
 //
-// Execution model per round t >= 1 — two phases, BOTH sharded over the
-// engine's persistent thread pool (static contiguous node-id shards;
-// sequential when num_threads <= 1 or the graph is below the parallel
-// cutoff — kDefaultParallelCutoff nodes unless SetParallelCutoff says
-// otherwise). Shards default to equal node counts; SetShardBalancing(true)
-// switches to degree-weighted boundaries (cost degree + 1 per live node,
-// built once at Start and optionally rebuilt from the halted census every
-// SetRebalanceInterval rounds), so on heavy-tailed graphs the hub shard
-// stops dominating the round. Every partition is a fixed ascending
-// contiguous split and both collect passes reuse the round's boundaries,
-// so results stay bit-identical whichever partitioner is active:
+// Execution model per round t >= 1 — two phases over the engine's
+// persistent thread pool (sequential when num_threads <= 1 or the graph
+// is below the parallel cutoff — kDefaultParallelCutoff nodes unless
+// SetParallelCutoff says otherwise). The compute sweep, with the census
+// of each chunk right after the chunk's compute, runs over contiguous
+// node-id chunks, kComputeChunksPerThread per thread, that the threads
+// claim dynamically (ThreadPool::ParallelForDynamic), so a thread the OS
+// delays sheds chunks instead of holding up the round; p2p delivery runs
+// over static contiguous node-id shards, one per thread. Shards and
+// chunks default to equal node counts; SetShardBalancing(true) switches
+// both to degree-weighted boundaries (cost degree + 1 per live node,
+// built once at Start and optionally rebuilt from the halted census
+// every SetRebalanceInterval rounds), so on heavy-tailed graphs the hub
+// shard stops dominating the round. Every partition is a fixed ascending
+// contiguous split, census partials are per chunk and merge in chunk
+// order, and the count rows and the exchange reuse the round's shard
+// boundaries, so results stay bit-identical whichever partitioner is
+// active and whichever thread runs a chunk:
 //   1. Compute: Protocol::Round(ctx) runs for every non-halted node; it
 //      sees every neighbor's round-(t-1) broadcast plus any point-to-point
 //      payloads addressed to it, may stage a new broadcast and p2p sends
@@ -40,12 +47,20 @@
 //      inline through the node's adjacency (no virtual call), and
 //      Broadcast copies into the staged slot, so with the per-thread
 //      Update scratch of core/update.h a steady-state round allocates
-//      nothing (tests/alloc_test.cc pins it).
+//      nothing (tests/alloc_test.cc pins it). Stage also sets the node's
+//      changed flag — one byte per node and buffer, "unchanged" iff the
+//      staged broadcast equals the visible one bit for bit — and
+//      NeighborsUnchanged reads the visible flags of the adjacency, so a
+//      protocol can skip recomputing from inputs that did not move:
+//      compact elimination skips Update when it has run one in this
+//      object and every neighbor is unchanged, still broadcasting its b
+//      (so every RoundStats field stays as it was).
 //   2. Collect: the round census (message/entry counts, max message size,
-//      distinct broadcast values, active nodes) is accumulated as
-//      per-shard partials merged in shard order — pass 1 also counts
-//      per-(shard, receiver) p2p in-degrees while censusing senders. The
-//      staged p2p traffic is then handed to the engine's Transport
+//      distinct broadcast values, active nodes), accumulated during the
+//      compute sweep as per-chunk partials, is merged in chunk order. If
+//      any p2p message was staged, a count pass (pass 1, sharded by
+//      sender) tallies per-(shard, receiver) p2p in-degrees, and the
+//      staged p2p traffic is handed to the engine's Transport
 //      (SetTransport; transport.h), which moves every OutMessage into its
 //      receiver's inbox sorted by sender id:
 //        * SharedMemoryTransport (default): zero-copy two-pass delivery —
@@ -212,6 +227,19 @@ class NodeContext {
   BroadcastView NeighborBroadcast(std::size_t i) const {
     KCORE_CHECK(i < nbrs_.size());
     return bcast_->Visible(nbrs_[i].to);
+  }
+
+  // True iff every NeighborBroadcast(i) is present and bitwise equal to
+  // what it returned in the previous round (an absent or newly present
+  // broadcast counts as changed) — so a protocol whose round is a pure
+  // function of its neighbors' broadcasts and its own state may skip
+  // recomputing. Reads one changed byte per neighbor (broadcast_store.h),
+  // never the slots; no virtual call.
+  bool NeighborsUnchanged() const {
+    for (const graph::AdjEntry& a : nbrs_) {
+      if (!bcast_->VisibleUnchanged(a.to)) return false;
+    }
+    return true;
   }
 
   // Point-to-point messages delivered this round, sorted by sender id.
@@ -477,8 +505,8 @@ class Engine : private NodeRuntime {
   // Rounds of RoundStats history reserved at Start().
   static constexpr std::size_t kHistoryReserve = 64;
 
-  // Per-shard census accumulator: stats partials plus this shard's
-  // distinct first-entry broadcast values; merged on the caller in shard
+  // Per-chunk census accumulator: stats partials plus this chunk's
+  // distinct first-entry broadcast values; merged on the caller in chunk
   // order.
   struct CollectPartial {
     std::size_t messages = 0;
@@ -505,41 +533,45 @@ class Engine : private NodeRuntime {
   bool UseParallelPhases() const;
   // Returns the number of nodes that executed Init/Round in the range.
   std::size_t ComputeRange(Protocol& p, NodeId begin, NodeId end, int round);
-  // Runs the round's compute sweep — sequentially, or sharded over the
+  // Runs the round's compute sweep — sequentially, or in chunks over the
   // pool when num_threads_ > 1 and the graph clears the cutoff. Both
   // Start (round 0) and Step go through here.
   void ComputePhase(Protocol& p, int round);
   // Stats census over senders in [begin, end): broadcast fan-out and
-  // staged p2p messages. When counts_row != nullptr (parallel collect),
-  // also tallies this shard's per-receiver p2p in-degrees into it.
-  void CensusRange(NodeId begin, NodeId end, CollectPartial& part,
-                   std::uint32_t* counts_row);
-  // Round census (stats + count rows when parallel); returns the number
-  // of staged p2p messages. Delivery is the transport's job.
-  std::size_t CensusSequential(RoundStats& stats);
-  std::size_t CensusParallel(RoundStats& stats);
+  // staged p2p messages, into `part`. Runs in the compute sweep, right
+  // after the range's compute.
+  void CensusRange(NodeId begin, NodeId end, CollectPartial& part);
+  // Merges the census partials into stats; returns the number of staged
+  // p2p messages. Delivery is the transport's job.
+  std::size_t MergeCensus(RoundStats& stats);
+  // Parallel rounds that staged p2p: fills the per-(shard, receiver)
+  // count rows of p2p_offsets_ and shard_sent_ over ActiveBounds.
+  void CountP2pRows();
   void CollectRound(int round);
   // One coordinator-side round under per-rank compute: drive the
   // transport's RankStep and append the merged stats to the history.
   void RankRound(int round);
   // The node-id partition active this round: shard_bounds_ when balancing
   // is on, the cached equal-count split (or the trivial single-shard
-  // partition when sequential) otherwise. Census, transport exchange, and
-  // the compute sweep all run on these SAME boundaries within a round.
+  // partition when sequential) otherwise. Census and transport exchange
+  // both run on these SAME boundaries within a round.
   std::span<const std::uint64_t> ActiveBounds();
 
-  // Builds degree-weighted shard boundaries for the pool from the current
-  // halted census (see SetShardBalancing).
+  // Builds degree-weighted shard boundaries for the pool, and the compute
+  // chunks, from the current halted census (see SetShardBalancing).
   void BuildShardBounds();
-  // Every parallel sweep over node ids goes through these: they pick the
-  // weighted boundaries when balancing is on and the equal-count split
+  // The compute sweep's chunks, claimed dynamically by the pool's threads
+  // (ThreadPool::ParallelForDynamic): kComputeChunksPerThread per thread,
+  // degree-weighted like shard_bounds_ when balancing is on, equal-count
+  // otherwise.
+  std::span<const std::uint64_t> ComputeChunks();
+  static constexpr int kComputeChunksPerThread = 16;
+  // Every static parallel sweep over node ids goes through this: it picks
+  // the weighted boundaries when balancing is on and the equal-count split
   // otherwise, so no call site can end up on a partition that disagrees
   // with the rest of the round.
   void ForSharded(
       util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body);
-  void ReduceSharded(
-      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
-      util::FunctionRef<void(int)> merge);
 
   const graph::Graph& graph_;
   int num_threads_;
@@ -547,13 +579,16 @@ class Engine : private NodeRuntime {
   bool balance_shards_ = false;
   int rebalance_every_ = 0;
   // Active partition for the balanced path: num_shards + 1 ascending
-  // boundaries, shared by the compute sweep and BOTH collect passes of a
-  // round (the count/offset scheme needs one fixed partition per round).
+  // boundaries, shared by the count pass and the exchange of a round (the
+  // count/offset scheme needs one fixed partition per round).
   // Rebuilt only between rounds, never mid-round.
   std::vector<std::uint64_t> shard_bounds_;
   // Equal-count partition cache for ActiveBounds(): built once (n and the
   // shard count are fixed per engine) — {0, n} when sequential.
   std::vector<std::uint64_t> equal_bounds_;
+  // ComputeChunks' partition: rebuilt with shard_bounds_ when balancing,
+  // else built once.
+  std::vector<std::uint64_t> compute_chunks_;
   // Lazily created on the first parallel compute phase (Start's Init
   // sweep included) and reused for every later round; null while running
   // sequentially.
@@ -594,11 +629,13 @@ class Engine : private NodeRuntime {
   std::size_t payload_limit_ = 0;
 
   // Nodes whose Init/Round ran in the current round's compute phase
-  // (counted there, per shard, and consumed by CollectRound's stats).
+  // (counted there, per chunk, and consumed by CollectRound's stats).
   std::size_t active_this_round_ = 0;
   // Round scratch, kept across rounds so steady-state rounds allocate
-  // nothing: per-shard executed counts and census partials (one partial
-  // when sequential), and the merged distinct-value set.
+  // nothing: per-chunk executed counts and census partials (one partial
+  // when sequential) — a chunk covers the same ids every round, so each
+  // partial's set reaches its high-water mark whichever thread runs it —
+  // and the merged distinct-value set.
   std::vector<std::size_t> executed_;
   std::vector<CollectPartial> partials_;
   util::U64Set distinct_;
@@ -613,15 +650,16 @@ class Engine : private NodeRuntime {
   std::once_flag node_rng_once_;
   std::vector<util::Rng> node_rng_;
 
-  // Parallel-collect scratch: num_shards rows of n per-receiver counts;
-  // the census fills the rows of shards that staged p2p (others stay
-  // stale and are masked out via shard_sent_), and the transport consumes
+  // Parallel-collect scratch: num_shards rows of n per-receiver counts,
+  // sized on the first round that stages p2p; the count pass fills the
+  // rows of shards that staged p2p (others stay stale and are masked out
+  // via shard_sent_), and the transport consumes
   // them — the shared-memory path turns each live column into running
   // block offsets and then write cursors; the serialized path reads the
   // column sums to pre-size inboxes.
   std::vector<std::uint32_t> p2p_offsets_;
-  // Per-shard "staged any p2p this round" flags from the census — the
-  // stale-row mask for p2p_offsets_.
+  // Per-shard "staged any p2p this round" flags from the count pass —
+  // the stale-row mask for p2p_offsets_.
   std::vector<char> shard_sent_;
   // Whether last round's parallel collect delivered anything — i.e.
   // whether inboxes need clearing before the next delivery.

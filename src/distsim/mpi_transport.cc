@@ -177,7 +177,8 @@ class MpiTransport final : public Transport {
     // Count + pack — the hub-side orchestration shared with the
     // socketpair backend (PackRankBuffers in process_transport.cc).
     const std::uint64_t total_bytes =
-        PackRankBuffers(rb, R, outbox, seg_bytes_, send_displ_, send_buf_);
+        PackRankBuffers(rb, R, outbox, seg_bytes_, send_displ_, send_buf_,
+                        seg_writers_);
 
     // Control + counts to everyone, then each worker rank its buffer.
     int op = kMpiRound;
@@ -229,6 +230,7 @@ class MpiTransport final : public Transport {
   std::vector<std::uint64_t> seg_bytes_;
   std::vector<std::uint64_t> send_displ_;
   std::vector<std::vector<std::uint8_t>> send_buf_, recv_buf_;
+  std::vector<util::WireWriter> seg_writers_;
 };
 
 }  // namespace

@@ -357,6 +357,9 @@ class SliceRuntime final : public NodeRuntime {
   std::vector<std::vector<std::uint8_t>> bcast_buf_;  // one per dst rank
   std::vector<std::uint64_t> counts_, displ_;
   std::vector<std::vector<std::uint8_t>> recv_seg_;
+  std::vector<util::WireWriter> seg_;  // p2p segment writers, one per dst
+  std::vector<util::WireReader> tail_;  // broadcast segment per src rank
+  std::vector<double> decoded_;         // one decoded remote broadcast
   util::U64Set distinct_;
   std::vector<std::uint64_t> distinct_sorted_;
 };
@@ -499,15 +502,12 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   p2p_displ_.assign(R + 1, 0);
   for (int d = 0; d < R; ++d) p2p_displ_[d + 1] = p2p_displ_[d] + p2p_row_[d];
   p2p_buf_.resize(p2p_displ_[R]);
-  {
-    std::vector<util::WireWriter> seg;
-    seg.reserve(R);
-    for (int d = 0; d < R; ++d) {
-      std::uint8_t* base = p2p_buf_.data() + p2p_displ_[d];
-      seg.emplace_back(base, base + p2p_row_[d]);
-    }
-    PackSegments(rank_bounds_.data(), R, outbox_, lo_, hi_, seg.data());
+  seg_.clear();
+  for (int d = 0; d < R; ++d) {
+    std::uint8_t* base = p2p_buf_.data() + p2p_displ_[d];
+    seg_.emplace_back(base, base + p2p_row_[d]);
   }
+  PackSegments(rank_bounds_.data(), R, outbox_, lo_, hi_, seg_.data());
   const std::uint64_t p2p_sent = p2p_displ_[R];  // diagonal included
 
   // 3b. Pack the broadcast fan-out: each owned broadcast is encoded
@@ -571,14 +571,13 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   // inboxes sender-id-sorted — the conformance contract).
   for (NodeId v = lo_; v < hi_; ++v) inbox_[v].clear();
   std::uint64_t p2p_received = 0;
-  std::vector<util::WireReader> tail;
-  tail.reserve(R);
+  tail_.clear();
   for (int s = 0; s < R; ++s) {
     if (s == rank_) {
       DecodeSegment(p2p_buf_.data() + p2p_displ_[rank_], p2p_row_[rank_],
                     lo_, hi_, inbox_);
       p2p_received += p2p_row_[rank_];
-      tail.emplace_back(nullptr, 0);
+      tail_.emplace_back(nullptr, 0);
       continue;
     }
     util::WireReader pr(recv_seg_[s].data(), recv_seg_[s].size());
@@ -588,8 +587,8 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
     }
     DecodeSegment(recv_seg_[s].data() + 8, p2p_len, lo_, hi_, inbox_);
     p2p_received += p2p_len;
-    tail.emplace_back(recv_seg_[s].data() + 8 + p2p_len,
-                      recv_seg_[s].size() - 8 - p2p_len);
+    tail_.emplace_back(recv_seg_[s].data() + 8 + p2p_len,
+                       recv_seg_[s].size() - 8 - p2p_len);
   }
 
   // 6. Slice quiescence: owned inbox traffic, or an owned broadcast
@@ -607,12 +606,15 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
 
   // 7. Publish: owned broadcasts become visible, then the peers'
   // broadcast segments fill the remote slots — disjoint id ranges per
-  // src rank, so decode order across peers cannot matter.
+  // src rank, so decode order across peers cannot matter. Deliver sets
+  // each remote node's changed flag against its previous delivery, the
+  // same flag the engine's Stage would have set (every neighbor of an
+  // owned node is delivered every round it broadcasts).
   bcast_.Publish();
   std::uint64_t bcast_received = 0;
   for (int s = 0; s < R; ++s) {
     if (s == rank_) continue;
-    util::WireReader& br = tail[s];
+    util::WireReader& br = tail_[s];
     bcast_received += br.remaining();
     while (br.remaining() > 0) {
       const NodeId u = static_cast<NodeId>(br.Varint());
@@ -624,7 +626,9 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
       if (br.failed() || len > br.remaining() / 8) {
         WorkerDie(rank_, "malformed broadcast segment");
       }
-      for (double& x : bcast_.ClaimVisible(u, len)) x = br.Double();
+      decoded_.resize(len);
+      for (double& x : decoded_) x = br.Double();
+      bcast_.Deliver(u, decoded_);
     }
     if (br.failed()) WorkerDie(rank_, "malformed broadcast segment");
   }
@@ -743,7 +747,8 @@ std::uint64_t PackRankBuffers(
     std::vector<std::vector<OutMessage>>& outbox,
     std::vector<std::uint64_t>& seg_bytes,
     std::vector<std::uint64_t>& send_displ,
-    std::vector<std::vector<std::uint8_t>>& send_buf) {
+    std::vector<std::vector<std::uint8_t>>& send_buf,
+    std::vector<util::WireWriter>& seg) {
   const int R = num_ranks;
   const std::uint64_t* rb = rank_bounds;
 
@@ -773,8 +778,7 @@ std::uint64_t PackRankBuffers(
   // (and thus byte accounting) is identical to SerializedTransport's.
   // Outboxes are consumed here.
   for (int s = 0; s < R; ++s) {
-    std::vector<util::WireWriter> seg;
-    seg.reserve(R);
+    seg.clear();
     for (int d = 0; d < R; ++d) {
       std::uint8_t* base =
           send_buf[s].data() +
@@ -1231,7 +1235,8 @@ WireVolume ProcessTransport::Exchange(const ExchangeContext& ctx) {
   // parent is the data's home; the per-rank parallelism of this backend
   // lives in the worker processes.
   const std::uint64_t total_bytes =
-      PackRankBuffers(rb, R, outbox, seg_bytes_, send_displ_, send_buf_);
+      PackRankBuffers(rb, R, outbox, seg_bytes_, send_displ_, send_buf_,
+                      seg_writers_);
   recv_buf_.resize(R);
 
   // Ship every src rank its framed send buffer: opcode, count row,

@@ -61,6 +61,7 @@
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "util/u64_set.h"
+#include "util/wire.h"
 
 namespace kcore::distsim {
 
@@ -170,6 +171,7 @@ class ProcessTransport final : public Transport {
   std::vector<std::uint64_t> send_displ_;  // [src * (R+1)] prefix sums
   std::vector<std::vector<std::uint8_t>> send_buf_;  // one per src rank
   std::vector<std::vector<std::uint8_t>> recv_buf_;  // one per dst rank
+  std::vector<util::WireWriter> seg_writers_;        // one per dst rank
   std::vector<std::uint8_t> frame_;       // outgoing frame-header scratch
   std::vector<std::uint8_t> reply_rows_;  // incoming reply-row scratch
 
@@ -194,13 +196,15 @@ class ProcessTransport final : public Transport {
 // a segment — the shared codec of transport.h). Fills seg_bytes
 // ([src * R + dst] counts), send_displ ([src * (R+1)] prefix rows, the
 // alltoallv sdispls), and send_buf (one buffer per src rank); consumes
-// the outboxes. Returns the total packed bytes.
+// the outboxes. Returns the total packed bytes. `seg` is the caller's
+// segment-writer scratch, kept so rounds do not reallocate it.
 std::uint64_t PackRankBuffers(
     const std::uint64_t* rank_bounds, int num_ranks,
     std::vector<std::vector<OutMessage>>& outbox,
     std::vector<std::uint64_t>& seg_bytes,
     std::vector<std::uint64_t>& send_displ,
-    std::vector<std::vector<std::uint8_t>>& send_buf);
+    std::vector<std::vector<std::uint8_t>>& send_buf,
+    std::vector<util::WireWriter>& seg);
 
 // Decodes every dst rank's combined receive buffer (segments in
 // ascending src-rank order, lengths from seg_bytes) into the inboxes,

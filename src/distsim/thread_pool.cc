@@ -86,6 +86,18 @@ std::vector<std::uint64_t> ThreadPool::WeightedShardBounds(
 }
 
 void ThreadPool::RunShard(int shard) {
+  if (job_chunks_ > 0) {
+    // Chunk `shard` is this thread's own first claim; the shared counter
+    // starts past the first num_shards() chunks.
+    std::size_t c = static_cast<std::size_t>(shard);
+    while (c < job_chunks_) {
+      if (job_bounds_[c] < job_bounds_[c + 1]) {
+        (*body_)(static_cast<int>(c), job_bounds_[c], job_bounds_[c + 1]);
+      }
+      c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return;
+  }
   std::uint64_t b, e;
   if (job_bounds_ != nullptr) {
     b = job_bounds_[shard];
@@ -165,6 +177,22 @@ void ThreadPool::ParallelReduce(
   for (int shard = 0; shard < num_shards(); ++shard) merge(shard);
 }
 
+void ThreadPool::ParallelForDynamic(
+    std::span<const std::uint64_t> chunks,
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body) {
+  KCORE_CHECK_MSG(chunks.size() >= 2,
+                  "dynamic dispatch needs at least one chunk (two "
+                  "boundaries), got " << chunks.size() << " boundaries");
+  for (std::size_t c = 0; c + 1 < chunks.size(); ++c) {
+    KCORE_CHECK_MSG(chunks[c] <= chunks[c + 1],
+                    "chunk boundaries must be ascending; chunks["
+                        << c << "]=" << chunks[c] << " > chunks[" << c + 1
+                        << "]=" << chunks[c + 1]);
+  }
+  Dispatch(chunks.front(), chunks.back(), chunks.data(), body,
+           chunks.size() - 1);
+}
+
 void ThreadPool::CheckBounds(std::span<const std::uint64_t> bounds) const {
   KCORE_CHECK_MSG(
       bounds.size() == static_cast<std::size_t>(num_shards()) + 1,
@@ -180,11 +208,20 @@ void ThreadPool::CheckBounds(std::span<const std::uint64_t> bounds) const {
 
 void ThreadPool::Dispatch(
     std::uint64_t begin, std::uint64_t end, const std::uint64_t* bounds,
-    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body) {
+    util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
+    std::size_t num_chunks) {
   if (begin >= end) return;
   const int shards = num_shards();
   if (shards == 1) {
-    body(0, begin, end);
+    if (num_chunks == 0) {
+      body(0, begin, end);
+      return;
+    }
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      if (bounds[c] < bounds[c + 1]) {
+        body(static_cast<int>(c), bounds[c], bounds[c + 1]);
+      }
+    }
     return;
   }
   {
@@ -193,6 +230,9 @@ void ThreadPool::Dispatch(
     job_begin_ = begin;
     job_end_ = end;
     job_bounds_ = bounds;
+    job_chunks_ = num_chunks;
+    next_chunk_.store(static_cast<std::size_t>(shards),
+                      std::memory_order_relaxed);
     pending_ = shards - 1;
     ++generation_;
   }
@@ -205,6 +245,7 @@ void ThreadPool::Dispatch(
     while (pending_ != 0) done_cv_.wait(lk.native());
     body_ = nullptr;
     job_bounds_ = nullptr;
+    job_chunks_ = 0;
     return std::exchange(error_, nullptr);
   };
   try {

@@ -5,7 +5,9 @@
 // than the compute phase itself on small graphs (thread creation is
 // ~10-50us each; a round over 100k light nodes is comparable), so the
 // pool keeps its workers alive across rounds and hands them one statically
-// partitioned shard per ParallelFor call.
+// partitioned shard per ParallelFor call — or, for ParallelForDynamic,
+// many small chunks that idle threads claim, so a thread the OS delays
+// does not hold up the barrier with a fixed share.
 //
 // Determinism contract: the shard for a given (range, shard index) is a
 // fixed contiguous id interval, independent of scheduling order. Callers
@@ -20,7 +22,9 @@
 // docs/ARCHITECTURE.md.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <span>
@@ -93,6 +97,22 @@ class ThreadPool {
       util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
       util::FunctionRef<void(int)> merge);
 
+  // Dynamic variant: `chunks` is an ascending partition with at least two
+  // entries, usually many more chunks than threads. Thread t (the caller
+  // is thread 0) first runs chunk t, then claims the next unclaimed chunk,
+  // until none is left; running chunk c calls body(c, chunks[c],
+  // chunks[c + 1]) (empty chunks are skipped). So a thread the OS delays,
+  // or whose core another process shares, ends up with fewer chunks
+  // instead of holding the barrier with a fixed share, while every thread
+  // still runs at least one chunk per call (per-thread scratch a body
+  // grows on its first chunk is warm after the first call). Which thread
+  // runs chunk c >= num_shards() depends on timing, so a body indexes its
+  // accumulators by chunk and the caller merges them in chunk order.
+  // Barrier and exception drain match ParallelFor.
+  void ParallelForDynamic(
+      std::span<const std::uint64_t> chunks,
+      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body);
+
   // The contiguous chunk [begin, end) is split into for a given shard —
   // pure arithmetic, exposed so callers and tests can pin the static
   // partition the determinism contract rests on. Returns an empty range
@@ -119,9 +139,12 @@ class ThreadPool {
   // rethrows the first shard failure. Shared by ParallelFor/Reduce.
   // `bounds` (nullable) overrides the equal-count split with explicit
   // per-shard boundaries (num_shards() + 1 entries).
+  // `num_chunks` > 0 makes `bounds` a chunk list (num_chunks + 1
+  // entries) claimed dynamically instead of one boundary per shard.
   void Dispatch(
       std::uint64_t begin, std::uint64_t end, const std::uint64_t* bounds,
-      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body);
+      util::FunctionRef<void(int, std::uint64_t, std::uint64_t)> body,
+      std::size_t num_chunks = 0);
   // KCORE_CHECKs the bounded-overload contract (size, monotonicity).
   void CheckBounds(std::span<const std::uint64_t> bounds) const;
   void WorkerLoop(int shard);
@@ -157,6 +180,11 @@ class ThreadPool {
   // Explicit per-shard boundaries for the current job (bounded
   // overloads); null means the equal-count ShardBounds split.
   const std::uint64_t* job_bounds_ KCORE_GUARDED_BY(mu_) = nullptr;
+  // Dynamic jobs (ParallelForDynamic): the chunk count (0 for a static
+  // job) and the next unclaimed chunk, reset by Dispatch before the
+  // generation is bumped.
+  std::size_t job_chunks_ KCORE_GUARDED_BY(mu_) = 0;
+  std::atomic<std::size_t> next_chunk_{0};
 };
 
 }  // namespace kcore::distsim

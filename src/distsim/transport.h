@@ -1,8 +1,9 @@
 // Pluggable message-transport layer for the round scheduler's collect
 // phase.
 //
-// The engine's collect phase splits into a census (stats + per-(shard,
-// receiver) in-degree counts, always run by the engine) and an exchange:
+// The engine's collect phase splits into a census (stats, taken during
+// the compute sweep, + per-(shard, receiver) in-degree counts from a
+// count pass, both run by the engine) and an exchange:
 // moving every staged OutMessage from its sender's outbox into its
 // receiver's inbox, sorted by sender id. The exchange is the part a
 // message-passing cluster would actually put on the wire, so it lives

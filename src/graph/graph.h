@@ -98,6 +98,12 @@ class Graph {
     return {adj_.data() + offsets_[v], adj_.data() + offsets_[v + 1]};
   }
 
+  // Position of v's first adjacency entry in the graph's CSR order:
+  // Neighbors(v) covers [AdjOffset(v), AdjOffset(v + 1)), and
+  // AdjOffset(num_nodes()) is the total entry count — for per-entry
+  // arrays laid out like the adjacency.
+  std::size_t AdjOffset(NodeId v) const { return offsets_[v]; }
+
   // Number of adjacency entries (self-loop counts once).
   std::size_t Degree(NodeId v) const {
     return offsets_[v + 1] - offsets_[v];

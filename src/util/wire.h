@@ -119,6 +119,10 @@ class WireReader {
 
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
   bool failed() const { return failed_; }
+  // Marks the reader failed: for a decoder that reads a well-formed
+  // field whose value it must reject (a length that disagrees with the
+  // receiver's own state).
+  void Fail() { failed_ = true; }
 
  private:
   const std::uint8_t* p_;

@@ -40,7 +40,10 @@ void ExpectSameEdgeList(const Graph& a, const Graph& b) {
 void WriteRaw(const std::string& path, const std::vector<std::uint8_t>& b) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  // An empty vector's data() may be null, which fwrite must not get.
+  if (!b.empty()) {
+    ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  }
   ASSERT_EQ(std::fclose(f), 0);
 }
 

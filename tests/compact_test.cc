@@ -17,6 +17,7 @@
 #include "seq/kcore.h"
 #include "seq/local_density.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace kcore::core {
 namespace {
@@ -258,69 +259,82 @@ TEST(CompactElimination, ThreadedMatchesSequential) {
 
 // The compact round body as it was before rounds went allocation-free:
 // fresh value/weight vectors per node-round, std::stable_sort on the
-// persisted order, N copied out of every Update. A synchronous loop over
-// a snapshot of b stands in for the engine.
+// persisted order, N copied out of every Update, and every node
+// recomputing every round. A synchronous loop over a snapshot of b
+// stands in for the engine.
 struct ReferenceRun {
   std::vector<double> b;
+  std::vector<std::vector<std::uint32_t>> order;
   std::vector<std::vector<std::uint32_t>> in_sets;
 };
 
-ReferenceRun ReferenceCompact(const Graph& g, const CompactOptions& opts) {
+ReferenceRun ReferenceStart(const Graph& g, const CompactOptions& opts) {
   const NodeId n = g.num_nodes();
   ReferenceRun out;
   out.b.assign(n, std::numeric_limits<double>::infinity());
-  std::vector<std::vector<std::uint32_t>> order(n);
+  out.order.resize(n);
   if (opts.track_orientation) out.in_sets.resize(n);
   for (NodeId v = 0; v < n; ++v) {
-    order[v].resize(g.Degree(v));
-    std::iota(order[v].begin(), order[v].end(), 0u);
-    if (opts.track_orientation) out.in_sets[v] = order[v];
+    out.order[v].resize(g.Degree(v));
+    std::iota(out.order[v].begin(), out.order[v].end(), 0u);
+    if (opts.track_orientation) out.in_sets[v] = out.order[v];
   }
-  for (int t = 0; t < opts.rounds; ++t) {
-    const std::vector<double> prev = out.b;
-    for (NodeId v = 0; v < n; ++v) {
-      const auto nbrs = g.Neighbors(v);
-      const std::size_t d = nbrs.size();
-      if (d == 0) {
-        out.b[v] = 0.0;
-        continue;
-      }
-      std::vector<double> values(d), weights(d);
-      for (std::size_t i = 0; i < d; ++i) {
-        values[i] = prev[nbrs[i].to];
-        weights[i] = nbrs[i].w;
-      }
-      std::vector<std::uint32_t>& ord = order[v];
-      if (!opts.stateful_tiebreak) std::iota(ord.begin(), ord.end(), 0u);
-      std::stable_sort(ord.begin(), ord.end(),
-                       [&](std::uint32_t a, std::uint32_t c) {
-                         return values[a] < values[c];
-                       });
-      double nb = 0.0;
-      std::vector<std::uint32_t> chosen;
-      double s = 0.0;
-      for (std::size_t i = d; i-- > 0;) {
-        s += weights[ord[i]];
-        const double prev_value =
-            i > 0 ? values[ord[i - 1]]
-                  : -std::numeric_limits<double>::infinity();
-        if (s > prev_value) {
-          const double bi = values[ord[i]];
-          nb = s <= bi ? s : bi;
-          chosen.assign(ord.begin() + static_cast<std::ptrdiff_t>(
-                                          s <= bi ? i : i + 1),
-                        ord.end());
-          break;
-        }
-      }
-      if (opts.lambda > 0.0) nb = RoundDownToPower(nb, opts.lambda);
-      if (nb != out.b[v]) out.b[v] = nb;
-      if (opts.track_orientation) {
-        std::sort(chosen.begin(), chosen.end());
-        out.in_sets[v] = std::move(chosen);
+  return out;
+}
+
+// One synchronous round: every node updates from the neighbors' b of
+// the previous round.
+void ReferenceRound(const Graph& g, const CompactOptions& opts,
+                    ReferenceRun& out) {
+  const NodeId n = g.num_nodes();
+  const std::vector<double> prev = out.b;
+  for (NodeId v = 0; v < n; ++v) {
+    const auto nbrs = g.Neighbors(v);
+    const std::size_t d = nbrs.size();
+    if (d == 0) {
+      out.b[v] = 0.0;
+      continue;
+    }
+    std::vector<double> values(d), weights(d);
+    for (std::size_t i = 0; i < d; ++i) {
+      values[i] = prev[nbrs[i].to];
+      weights[i] = nbrs[i].w;
+    }
+    std::vector<std::uint32_t>& ord = out.order[v];
+    if (!opts.stateful_tiebreak) std::iota(ord.begin(), ord.end(), 0u);
+    std::stable_sort(ord.begin(), ord.end(),
+                     [&](std::uint32_t a, std::uint32_t c) {
+                       return values[a] < values[c];
+                     });
+    double nb = 0.0;
+    std::vector<std::uint32_t> chosen;
+    double s = 0.0;
+    for (std::size_t i = d; i-- > 0;) {
+      s += weights[ord[i]];
+      const double prev_value =
+          i > 0 ? values[ord[i - 1]]
+                : -std::numeric_limits<double>::infinity();
+      if (s > prev_value) {
+        const double bi = values[ord[i]];
+        nb = s <= bi ? s : bi;
+        chosen.assign(ord.begin() + static_cast<std::ptrdiff_t>(
+                                        s <= bi ? i : i + 1),
+                      ord.end());
+        break;
       }
     }
+    if (opts.lambda > 0.0) nb = RoundDownToPower(nb, opts.lambda);
+    if (nb != out.b[v]) out.b[v] = nb;
+    if (opts.track_orientation) {
+      std::sort(chosen.begin(), chosen.end());
+      out.in_sets[v] = std::move(chosen);
+    }
   }
+}
+
+ReferenceRun ReferenceCompact(const Graph& g, const CompactOptions& opts) {
+  ReferenceRun out = ReferenceStart(g, opts);
+  for (int t = 0; t < opts.rounds; ++t) ReferenceRound(g, opts, out);
   return out;
 }
 
@@ -374,6 +388,94 @@ TEST(CompactElimination, MatchesReferenceLoopOnWeightedGraphs) {
       }
     }
   }
+}
+
+TEST(CompactElimination, LoadingADifferentStateMidRunMatchesReferenceLoop) {
+  // Skipping Update on unchanged neighbor broadcasts is exact only while
+  // a node's state is the output of its own last Update. Mid-run, every
+  // node loads the state of a run that is 7 rounds behind (other b,
+  // orders and N_v) while the engine still shows this run's broadcasts,
+  // most of them unchanged since the round before; the following rounds
+  // must recompute from the loaded orders exactly as the reference loop
+  // does.
+  util::Rng rng(32);
+  const Graph g = graph::WithUniformWeights(
+      graph::PowerLawConfiguration(1500, 2.2, 2, 200, rng), 0.25, 4.0, rng);
+  constexpr int kBefore = 10, kDonor = 3, kAfter = 6;
+  for (bool track : {false, true}) {
+    for (bool stateful : {true, false}) {
+      CompactOptions opts;
+      opts.rounds = kBefore;
+      opts.track_orientation = track;
+      opts.stateful_tiebreak = stateful;
+      ReferenceRun ref = ReferenceCompact(g, opts);
+      opts.rounds = kDonor;
+      const ReferenceRun donor_ref = ReferenceCompact(g, opts);
+      ref.order = donor_ref.order;
+      ref.in_sets = donor_ref.in_sets;
+      for (int t = 0; t < kAfter; ++t) ReferenceRound(g, opts, ref);
+
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << "track=" << track << " stateful="
+                                          << stateful << " threads=" << threads);
+        CompactElimination donor(g, opts);
+        distsim::Engine donor_engine(g, 1);
+        donor_engine.Run(donor, kDonor);
+
+        CompactElimination proto(g, opts);
+        distsim::Engine engine(g, threads);
+        engine.Run(proto, kBefore);
+        std::vector<std::uint8_t> blob;
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          blob.clear();
+          util::WireAppender out(blob);
+          donor.SaveNodeState(v, out);
+          util::WireReader in(blob.data(), blob.size());
+          proto.LoadNodeState(v, in);
+          ASSERT_FALSE(in.failed());
+          ASSERT_EQ(in.remaining(), 0u);
+        }
+        for (int t = 0; t < kAfter; ++t) engine.Step(proto);
+
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(proto.b()[v]),
+                    std::bit_cast<std::uint64_t>(ref.b[v]))
+              << "node " << v;
+        }
+        EXPECT_EQ(proto.in_sets(), ref.in_sets);
+      }
+    }
+  }
+}
+
+TEST(CompactElimination, LoadNodeStateRejectsAnOrderOfTheWrongLength) {
+  const Graph g = graph::Star(5);
+  CompactOptions opts;
+  opts.rounds = 1;
+  CompactElimination proto(g, opts);
+  const std::size_t d = g.Degree(0);
+  for (std::size_t len : {d - 1, d + 1}) {
+    SCOPED_TRACE(len);
+    std::vector<std::uint8_t> blob;
+    util::WireAppender out(blob);
+    out.Double(2.0);
+    out.Fixed64(1);
+    out.Varint(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      out.Fixed32(static_cast<std::uint32_t>(i % d));
+    }
+    util::WireReader in(blob.data(), blob.size());
+    proto.LoadNodeState(0, in);
+    EXPECT_TRUE(in.failed());
+  }
+  // A well-formed blob still loads afterwards.
+  std::vector<std::uint8_t> blob;
+  util::WireAppender out(blob);
+  proto.SaveNodeState(0, out);
+  util::WireReader in(blob.data(), blob.size());
+  proto.LoadNodeState(0, in);
+  EXPECT_FALSE(in.failed());
+  EXPECT_EQ(in.remaining(), 0u);
 }
 
 TEST(SingleThreshold, ShrinkingSurvivorSets) {

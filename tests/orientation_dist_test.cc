@@ -6,6 +6,7 @@
 #include "core/compact.h"
 #include "core/orientation.h"
 #include "core/two_phase.h"
+#include "distsim/transport.h"
 #include "graph/generators.h"
 #include "seq/brute.h"
 #include "seq/densest_exact.h"
@@ -165,6 +166,34 @@ TEST_P(WeightedVsBrute, WithinTheoreticalFactorOfOpt) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WeightedVsBrute, ::testing::Range(0, 30));
+
+// The engine settings reach the algorithm: at 2 ranks with per-rank
+// compute the pipeline really crosses process boundaries (broadcast
+// fan-out bytes are measured) and still reproduces the shared-memory
+// run bit for bit.
+TEST(DistributedOrientation, PerRankComputeMatchesSharedMemory) {
+  util::Rng rng(14);
+  const Graph g = graph::QuantizeWeightsDyadic(graph::WithParetoWeights(
+      graph::BarabasiAlbert(300, 3, rng), 0.5, 2.0, rng));
+  const int T = RoundsForEpsilon(g.num_nodes(), 0.5);
+  const DistOrientationResult shared = RunDistributedOrientation(g, T);
+  EXPECT_EQ(shared.totals.bcast_bytes_sent, 0u);
+
+  CompactOptions engine;
+  engine.transport = distsim::TransportKind::kProcess;
+  engine.ranks = 2;
+  engine.per_rank_compute = true;
+  const DistOrientationResult ranked =
+      RunDistributedOrientation(g, T, ConflictRule::kLowerLoad, engine);
+  EXPECT_GT(ranked.totals.bcast_bytes_sent, 0u);
+  EXPECT_EQ(ranked.b, shared.b);
+  EXPECT_EQ(ranked.orientation.owner, shared.orientation.owner);
+  EXPECT_EQ(ranked.orientation.loads, shared.orientation.loads);
+  EXPECT_EQ(ranked.conflicts, shared.conflicts);
+  EXPECT_EQ(ranked.uncovered, 0u);
+  EXPECT_EQ(ranked.totals.messages, shared.totals.messages);
+  EXPECT_EQ(ranked.totals.entries, shared.totals.entries);
+}
 
 // --- Two-phase baseline ------------------------------------------------------
 

@@ -341,7 +341,7 @@ TEST(SchedulerDeterminism, MoreShardsThanWorkEmptyShardRegression) {
 // --- Degree-weighted shard balancing -------------------------------------
 //
 // Weighted boundaries are arbitrary contiguous partitions, so they push
-// the collect offset machinery and the ParallelReduce merge order onto
+// the collect offset machinery and the chunk-ordered census merge onto
 // shard shapes the equal-count split never produces (a hub alone in shard
 // 0, most ids crammed into the last shards). The bit-identical contract
 // must hold anyway, on exactly the graphs balancing exists for.

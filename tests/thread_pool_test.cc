@@ -3,15 +3,19 @@
 // (ParallelFor), and order-pinned reductions (ParallelReduce, merge in
 // shard order on the caller). These tests pin the partition arithmetic,
 // the exception drain-and-rethrow contract, long-lived reuse across
-// generations, and the reduce merge order.
+// generations, the reduce merge order, and the dynamic chunk claiming of
+// ParallelForDynamic (every chunk once, own chunk first, work shed by a
+// delayed thread).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -369,6 +373,107 @@ TEST(ThreadPool, BoundedMatchesWeightedShardBoundsEndToEnd) {
     for (std::uint64_t i = b; i < e; ++i) hits[i] += 1;
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, DynamicRunsEveryChunkExactlyOnce) {
+  // Lopsided chunks with empty ones among them, over many generations:
+  // each non-empty chunk runs once with its index and exact bounds, empty
+  // chunks never, and every id is covered once per call.
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> chunks{0, 3, 3, 40, 41, 41, 41, 500};
+  for (std::uint64_t c = 600; c <= 2000; c += 100) chunks.push_back(c);
+  for (int rep = 0; rep < 200; ++rep) {
+    std::vector<int> hits(chunks.back(), 0);
+    std::vector<int> runs(chunks.size() - 1, 0);
+    std::atomic<int> bad_bounds{0};
+    pool.ParallelForDynamic(
+        chunks, [&](int chunk, std::uint64_t b, std::uint64_t e) {
+          if (b != chunks[chunk] || e != chunks[chunk + 1]) bad_bounds += 1;
+          runs[chunk] += 1;
+          for (std::uint64_t i = b; i < e; ++i) hits[i] += 1;
+        });
+    EXPECT_EQ(bad_bounds.load(), 0);
+    for (std::size_t c = 0; c + 1 < chunks.size(); ++c) {
+      EXPECT_EQ(runs[c], chunks[c] < chunks[c + 1] ? 1 : 0)
+          << "chunk " << c << " rep " << rep;
+    }
+    for (int h : hits) ASSERT_EQ(h, 1) << "rep " << rep;
+  }
+}
+
+TEST(ThreadPool, DynamicThreadsStartWithTheirOwnChunk) {
+  // Chunk t < num_shards() is thread t's own: chunk 0 runs on the caller
+  // and the first num_shards() chunks on as many different threads, in
+  // every call.
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> chunks;
+  for (std::uint64_t c = 0; c <= 64; ++c) chunks.push_back(c * 10);
+  for (int rep = 0; rep < 50; ++rep) {
+    std::vector<std::thread::id> ran_on(64);
+    pool.ParallelForDynamic(chunks,
+                            [&](int chunk, std::uint64_t, std::uint64_t) {
+                              ran_on[chunk] = std::this_thread::get_id();
+                            });
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    for (int a = 0; a < pool.num_shards(); ++a) {
+      for (int b = a + 1; b < pool.num_shards(); ++b) {
+        EXPECT_NE(ran_on[a], ran_on[b]) << "chunks " << a << ", " << b;
+      }
+    }
+    for (const std::thread::id& id : ran_on) EXPECT_NE(id, std::thread::id());
+  }
+}
+
+TEST(ThreadPool, DynamicDelayedThreadShedsItsShare) {
+  // The thread that owns chunk 1 stalls in it; the other threads take the
+  // rest, where a static split would have left it a quarter of the ids.
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> chunks;
+  for (std::uint64_t c = 0; c <= 64; ++c) chunks.push_back(c);
+  std::vector<std::thread::id> ran_on(64);
+  pool.ParallelForDynamic(chunks,
+                          [&](int chunk, std::uint64_t, std::uint64_t) {
+                            if (chunk == 1) {
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(300));
+                            }
+                            ran_on[chunk] = std::this_thread::get_id();
+                          });
+  const auto by_stalled = std::count(ran_on.begin(), ran_on.end(), ran_on[1]);
+  EXPECT_LT(by_stalled, 64 / pool.num_shards());
+}
+
+TEST(ThreadPool, DynamicExceptionDrainsAndRethrows) {
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> chunks;
+  for (std::uint64_t c = 0; c <= 32; ++c) chunks.push_back(c * 4);
+  for (int rep = 0; rep < 3; ++rep) {
+    EXPECT_THROW(pool.ParallelForDynamic(
+                     chunks,
+                     [&](int, std::uint64_t b, std::uint64_t) {
+                       if (b == 40) throw std::runtime_error("chunk boom");
+                     }),
+                 std::runtime_error);
+    std::vector<int> hits(chunks.back(), 0);
+    pool.ParallelForDynamic(chunks,
+                            [&](int, std::uint64_t b, std::uint64_t e) {
+                              for (std::uint64_t i = b; i < e; ++i) hits[i] = 1;
+                            });
+    for (int h : hits) EXPECT_EQ(h, 1);
+  }
+}
+
+TEST(ThreadPool, DynamicSingleThreadRunsChunksInOrder) {
+  ThreadPool pool(1);
+  const std::vector<std::uint64_t> chunks{5, 7, 7, 20};
+  std::vector<int> calls;
+  pool.ParallelForDynamic(chunks,
+                          [&](int chunk, std::uint64_t b, std::uint64_t e) {
+                            EXPECT_EQ(b, chunks[chunk]);
+                            EXPECT_EQ(e, chunks[chunk + 1]);
+                            calls.push_back(chunk);
+                          });
+  EXPECT_EQ(calls, (std::vector<int>{0, 2}));
 }
 
 TEST(ThreadPool, ManyConcurrentReducesStayIndependent) {

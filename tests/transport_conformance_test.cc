@@ -27,6 +27,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -365,6 +366,79 @@ class SeededGossip : public distsim::Protocol {
   std::vector<double> value_;
 };
 
+// Changed-flag probe: every node counts the rounds in which all its
+// neighbors' broadcasts came back unchanged (NodeContext ::
+// NeighborsUnchanged) and broadcasts a snapshot of that count, refreshed
+// every fifth round, through payloads that cover each way a broadcast
+// can change or stay: value, length (past BroadcastStore::kInline),
+// presence, 0.0 vs -0.0, and a NaN repeated bit for bit. Node kHalter
+// halts in round 4, so its neighbors see it absent from then on.
+class UnchangedCount : public distsim::Protocol {
+ public:
+  static constexpr NodeId kHalter = 3;
+
+  explicit UnchangedCount(NodeId n)
+      : count_(n, 0), shown_(n, 0), digest_(n, 0xa0761d6478bd642fULL) {}
+
+  void Init(NodeContext& ctx) override { Shout(ctx); }
+
+  void Round(NodeContext& ctx) override {
+    const NodeId v = ctx.id();
+    const bool same = ctx.NeighborsUnchanged();
+    count_[v] += same ? 1 : 0;
+    digest_[v] = Mix(digest_[v], same ? 1 : 0);
+    if (v == kHalter && ctx.round() == 4) {
+      ctx.Halt();
+      return;
+    }
+    Shout(ctx);
+  }
+
+  const std::vector<std::uint64_t>& count() const { return count_; }
+  const std::vector<std::uint64_t>& digest() const { return digest_; }
+
+  bool SupportsRankCompute() const override { return true; }
+  void SaveNodeState(NodeId v, util::WireAppender& out) const override {
+    out.Fixed64(count_[v]);
+    out.Fixed64(shown_[v]);
+    out.Fixed64(digest_[v]);
+  }
+  void LoadNodeState(NodeId v, util::WireReader& in) override {
+    count_[v] = in.Fixed64();
+    shown_[v] = in.Fixed64();
+    digest_[v] = in.Fixed64();
+  }
+
+ private:
+  void Shout(NodeContext& ctx) {
+    const NodeId v = ctx.id();
+    if ((v + static_cast<NodeId>(ctx.round())) % 5 == 0) shown_[v] = count_[v];
+    const double c = static_cast<double>(shown_[v]);
+    const bool odd = shown_[v] % 2 != 0;
+    switch (v % 4) {
+      case 0:
+        ctx.Broadcast({odd ? -0.0 : 0.0});
+        break;
+      case 1:
+        if (odd) {
+          ctx.Broadcast({c, 1.0, 2.0});
+        } else {
+          ctx.Broadcast({c});
+        }
+        break;
+      case 2:
+        if (!odd) ctx.Broadcast({std::numeric_limits<double>::quiet_NaN()});
+        break;
+      default:
+        ctx.Broadcast({c});
+    }
+  }
+
+  std::vector<std::uint64_t> count_;
+  std::vector<std::uint64_t> shown_;  // count_ as of the last refresh
+  std::vector<std::uint64_t> digest_;
+};
+
 template <typename Proto>
 void RunRounds(Engine& engine, Proto& proto, int rounds) {
   engine.Start(proto);
@@ -531,6 +605,37 @@ TEST_P(TransportConformance, CompactCorenessAcrossThreadCounts) {
     const core::CompactResult res = core::RunCompactElimination(g, opts);
     EXPECT_EQ(res.b, base.b);
     ExpectSameLogicalHistory(res.history, base.history);
+  }
+}
+
+// The changed flags behind NodeContext::NeighborsUnchanged are part of
+// the round semantics: every transport and thread count must report the
+// same flag to every node in every round.
+TEST_P(TransportConformance, ChangedFlagsAcrossThreadCounts) {
+  util::Rng rng(313);
+  const graph::Graph g = graph::PowerLawConfiguration(900, 2.3, 2, 40, rng);
+  constexpr int kRounds = 24;
+  UnchangedCount base(g.num_nodes());
+  Engine eb(g, 1);
+  RunRounds(eb, base, kRounds);
+  // The probe is not vacuous: the flag takes both values, and the
+  // halted node stays absent.
+  std::uint64_t unchanged = 0;
+  for (std::uint64_t c : base.count()) unchanged += c;
+  ASSERT_GT(unchanged, 0u);
+  ASSERT_LT(unchanged, std::uint64_t{g.num_nodes()} * kRounds / 2);
+  ASSERT_TRUE(eb.halted(UnchangedCount::kHalter));
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    UnchangedCount p(g.num_nodes());
+    Engine e(g, threads);
+    e.SetParallelCutoff(1);
+    UseTransport(e, GetParam(), threads);
+    RunRounds(e, p, kRounds);
+    EXPECT_EQ(p.count(), base.count());
+    EXPECT_EQ(p.digest(), base.digest());
+    ExpectSameLogicalHistory(e.history(), eb.history());
   }
 }
 
@@ -946,6 +1051,36 @@ TEST(PerRankCompute, CompactCorenessMatrixBitIdentical) {
     EXPECT_EQ(res.b, base.b);
     EXPECT_EQ(res.in_sets, base.in_sets);
     ExpectSameLogicalHistory(res.history, base.history);
+  }
+}
+
+// Rank workers set the flags of remote nodes while decoding their
+// peers' fan-out (BroadcastStore::Deliver); they must agree with the
+// engine's Stage-time flags for every node in every round.
+TEST(PerRankCompute, ChangedFlagsMatchInEngine) {
+  util::Rng rng(313);
+  const graph::Graph g = graph::PowerLawConfiguration(900, 2.3, 2, 40, rng);
+  constexpr int kRounds = 24;
+  UnchangedCount base(g.num_nodes());
+  Engine eb(g, 1);
+  RunRounds(eb, base, kRounds);
+
+  for (int ranks : {1, 2, 3}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "ranks=" << ranks << " threads=" << threads);
+      UnchangedCount p(g.num_nodes());
+      Engine e(g, threads);
+      e.SetParallelCutoff(1);
+      UseTransport(e, TransportKind::kProcess, threads, ranks);
+      e.SetPerRankCompute(true);
+      RunRounds(e, p, kRounds);
+      e.FetchRankState(p);
+      EXPECT_EQ(p.count(), base.count());
+      EXPECT_EQ(p.digest(), base.digest());
+      EXPECT_TRUE(e.halted(UnchangedCount::kHalter));
+      ExpectSameLogicalHistory(e.history(), eb.history());
+    }
   }
 }
 
