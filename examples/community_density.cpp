@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   }
   const auto n = static_cast<kcore::graph::NodeId>(flags.GetInt("n", 600));
   const double gamma = flags.GetDouble("gamma", 3.0);
-  const int threads = static_cast<int>(flags.GetInt("threads", 1));
+  const int threads = kcore::examples::ThreadsFromFlags(flags);
   const kcore::distsim::TransportKind transport =
       kcore::examples::TransportFromFlags(flags);
   const int ranks = kcore::examples::RanksFromFlags(flags);

@@ -106,7 +106,7 @@ int CmdCoreness(const Flags& flags) {
   kcore::core::CompactOptions opts;
   opts.rounds = T;
   opts.lambda = flags.GetDouble("lambda", 0.0);
-  opts.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  opts.num_threads = kcore::examples::ThreadsFromFlags(flags);
   opts.balance_shards = flags.GetBool("balance", false);
   opts.transport = kcore::examples::TransportFromFlags(flags);
   opts.ranks = kcore::examples::RanksFromFlags(flags);
@@ -152,7 +152,7 @@ int CmdCoreness(const Flags& flags) {
 int CmdOrientation(const Flags& flags) {
   const Graph g = MakeGraph(flags);
   const double eps = flags.GetDouble("eps", 0.5);
-  const int threads = static_cast<int>(flags.GetInt("threads", 1));
+  const int threads = kcore::examples::ThreadsFromFlags(flags);
   const bool balance = flags.GetBool("balance", false);
   const auto transport = kcore::examples::TransportFromFlags(flags);
   const int ranks = kcore::examples::RanksFromFlags(flags);
@@ -200,7 +200,7 @@ int CmdDensest(const Flags& flags) {
   const double gamma = flags.GetDouble("gamma", 3.0);
   const double rho = kcore::seq::MaxDensity(g);
   const auto weak = kcore::core::RunWeakDensest(
-      g, gamma, -1, static_cast<int>(flags.GetInt("threads", 1)));
+      g, gamma, -1, kcore::examples::ThreadsFromFlags(flags));
   const auto charikar = kcore::seq::CharikarDensest(g);
   const auto streaming = kcore::seq::StreamingDensest(g, gamma / 2 - 1);
   kcore::util::Table t({"method", "density", "density/rho*", "rounds/passes"});

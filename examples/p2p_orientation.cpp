@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   const int T = kcore::core::RoundsForEpsilon(n, eps);
   const double rho = kcore::seq::MaxDensity(g);
 
-  const int threads = static_cast<int>(flags.GetInt("threads", 1));
+  const int threads = kcore::examples::ThreadsFromFlags(flags);
   const bool balance = flags.GetBool("balance", false);
   const auto transport = kcore::examples::TransportFromFlags(flags);
   const int ranks = kcore::examples::RanksFromFlags(flags);

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   const int T = kcore::core::RoundsForEpsilon(n, eps);
   kcore::core::CompactOptions opts;
   opts.rounds = T;
-  opts.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  opts.num_threads = kcore::examples::ThreadsFromFlags(flags);
   // BA graphs are heavy-tailed, so the hub shard otherwise dominates the
   // round when threading; bit-identical results either way.
   opts.balance_shards = flags.GetBool("balance", false);

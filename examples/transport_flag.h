@@ -1,14 +1,15 @@
-// Shared --transport / --ranks flag handling for the example binaries:
-// parses --transport={shared,serialized,process} (default shared) and
-// --ranks=N (default 1, the worker-process count for the process
-// transport), exiting with a usage error on anything else, so all
-// examples reject junk the same way.
+// Shared --transport / --ranks / --threads flag handling for the example
+// binaries: parses --transport={shared,serialized,process} (default
+// shared) and --ranks=N (default 1, the worker-process count for the
+// process transport), exiting with a usage error on anything else, so
+// all examples reject junk the same way.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "distsim/transport.h"
 #include "util/flags.h"
@@ -26,6 +27,31 @@ inline distsim::TransportKind TransportFromFlags(const util::Flags& flags) {
     std::exit(2);
   }
   return kind;
+}
+
+// --threads=N (default 1), the engine's thread count. Results are
+// bit-identical at any count, but threads beyond the host's cores only
+// add scheduling overhead, so a count above `cores` (default
+// std::thread::hardware_concurrency(); 0 means unknown) draws a warning
+// on stderr — once per `*warned` flag (default: one per process). The
+// count is passed through unchanged.
+inline int ThreadsFromFlags(
+    const util::Flags& flags,
+    unsigned cores = std::thread::hardware_concurrency(),
+    bool* warned = nullptr) {
+  static bool warned_in_process = false;
+  if (warned == nullptr) warned = &warned_in_process;
+  const int threads = static_cast<int>(flags.GetInt("threads", 1));
+  if (cores > 0 && threads > 0 && static_cast<unsigned>(threads) > cores &&
+      !*warned) {
+    *warned = true;
+    std::fprintf(stderr,
+                 "warning: --threads=%d exceeds the %u hardware threads of "
+                 "this host; results are unchanged, but the extra threads "
+                 "only add overhead\n",
+                 threads, cores);
+  }
+  return threads;
 }
 
 // Rank topology for multi-process transports (distsim ::

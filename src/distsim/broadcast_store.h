@@ -21,16 +21,24 @@
 // Changed flags: every buffer also keeps one byte per node saying
 // whether the node's broadcast there is bitwise equal (presence, length,
 // and every entry's bit pattern) to its previous visible broadcast —
-// Stage compares against Visible, a rank worker's Deliver against the
-// previous round's delivery. Protocols read the visible side through
-// NodeContext::NeighborsUnchanged to skip recomputing from inputs that
-// did not move; that test touches these n bytes instead of the 24-byte
-// slots. A byte means "unchanged" only when it equals its buffer's
-// current tag, and every Publish gives the emptied buffer a fresh tag,
-// so stale bytes — and with them absent slots — read as changed without
-// a sweep (one sweep of the n bytes every 255 uses of a buffer, when its
-// byte-sized tag wraps). Reset, ClaimVisible and ClearVisible mark the
-// slot changed.
+// Stage compares against Visible; on a rank worker a delivered record
+// is always a change and a carried copy never is (see below). Protocols
+// read the visible side through NodeContext::NeighborsUnchanged to skip
+// recomputing from inputs that did not move; that test touches these n
+// bytes instead of the 24-byte slots. A byte means "unchanged" only when
+// it equals its buffer's current tag, and every Publish gives the
+// emptied buffer a fresh tag, so stale bytes — and with them absent
+// slots — read as changed without a sweep (one sweep of the n bytes
+// every 255 uses of a buffer, when its byte-sized tag wraps). Reset,
+// ClaimVisible and ClearVisible mark the slot changed.
+//
+// Change-driven fan-out: a rank worker ships a remote rank only the
+// broadcasts whose staged changed byte is clear (StagedUnchanged), plus
+// a tombstone for each one that went absent. The receiver, after
+// Publish, Delivers the records, Retracts the tombstoned nodes, and
+// Carries every other remote node it reads: the previous visible slot,
+// still in the staging buffer (which only owned nodes stage into), is
+// copied forward as present and unchanged — or left absent if it was.
 //
 // Concurrency: Stage/ClaimVisible for distinct nodes may run
 // concurrently (disjoint slots and flag bytes; the one-time overflow
@@ -103,6 +111,12 @@ class BroadcastStore {
     return prev_.same[v] == prev_.tag;
   }
 
+  // Whether v staged a broadcast this round that is present and bitwise
+  // equal to its visible one (the flag Stage set). Read before Publish.
+  bool StagedUnchanged(graph::NodeId v) const {
+    return next_.same[v] == next_.tag;
+  }
+
   // Stages v's broadcast for the next round, replacing any earlier one,
   // and flags it changed unless it equals v's visible broadcast.
   void Stage(graph::NodeId v, std::span<const double> p) {
@@ -112,17 +126,33 @@ class BroadcastStore {
     next_.same[v] = same ? next_.tag : 0;
   }
 
-  // Makes p node v's visible broadcast after a Publish, flagged changed
-  // unless it equals v's previous visible broadcast — still in the
-  // staging buffer, which only v's owner stages into. For a rank worker
-  // decoding a peer's fan-out for a node it does not own.
+  // Makes p node v's visible broadcast after a Publish, flagged changed:
+  // for a rank worker decoding a peer's fan-out record for a node it
+  // does not own, and the owner ships a record only when the broadcast
+  // changed.
   void Deliver(graph::NodeId v, std::span<const double> p) {
-    const Slot& old = next_.slots[v];
-    const bool same = old.stamp != 0 && old.stamp == next_.retired &&
-                      BitwiseEqual(p, next_.Data(v, old.size));
     const std::span<double> dst = Claim(prev_, v, p.size());
     std::copy(p.begin(), p.end(), dst.begin());
-    prev_.same[v] = same ? prev_.tag : 0;
+    prev_.same[v] = 0;
+  }
+
+  // After a Publish, for a node v whose owner withdrew its broadcast (a
+  // tombstone): drops v's previous visible broadcast, so Carry leaves v
+  // absent this round.
+  void Retract(graph::NodeId v) { next_.slots[v].stamp = 0; }
+
+  // After a Publish, for a node v that got no record this round: keeps
+  // its previous visible broadcast visible, flagged unchanged. A no-op
+  // when v was delivered this round or was absent (or retracted).
+  void Carry(graph::NodeId v) {
+    if (prev_.slots[v].stamp == prev_.epoch) return;  // delivered
+    const Slot& old = next_.slots[v];
+    if (old.stamp == 0 || old.stamp != next_.retired) return;  // absent
+    const std::size_t size = old.size;
+    const BroadcastView from = next_.Data(v, size);
+    const std::span<double> dst = Claim(prev_, v, size);
+    std::copy(from.begin(), from.end(), dst.begin());
+    prev_.same[v] = prev_.tag;
   }
 
   // Marks v's visible slot present (and changed) with `size` entries and

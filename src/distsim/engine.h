@@ -176,10 +176,12 @@ struct RoundStats {
   // volume a broadcast-unaware backend would pay. On dense graphs the
   // former is strictly smaller (many neighbors share a rank). Kept out
   // of bytes_sent, which stays p2p-only (its rank-independence is part
-  // of the conformance contract). With in-engine compute the fields are
-  // analytic (what the exchange WOULD cost); with per-rank compute
-  // (SetPerRankCompute) they are measured off the actual segments — the
-  // conformance battery pins the two equal.
+  // of the conformance contract). All three are the model count of the
+  // fan-out rule — every broadcast, every round — computed analytically
+  // in-engine and from the workers' fan-out tables under per-rank
+  // compute (SetPerRankCompute); the conformance battery pins the two
+  // equal. The workers ship fewer bytes: only broadcasts that changed,
+  // plus tombstones (docs/TRANSPORTS.md, STEP).
   std::size_t bcast_bytes_sent = 0;
   std::size_t bcast_bytes_received = 0;
   std::size_t bcast_bytes_per_neighbor = 0;

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include <sys/resource.h>
@@ -79,6 +80,13 @@ struct PeerIo {
   bool in_done = false;
 };
 
+// A worker's peer-exchange state, kept across rounds so a steady-state
+// exchange allocates nothing: one PeerIo per rank, and the poll set.
+struct PeerExchange {
+  std::vector<PeerIo> io;
+  std::vector<struct pollfd> pfds;
+};
+
 // The peer exchange: every (this rank -> d) segment goes out and every
 // (d -> this rank) segment comes in, all peers concurrently over
 // nonblocking sockets driven by poll. Concurrency is what makes this
@@ -91,8 +99,10 @@ void ExchangeWithPeers(int rank, int num_ranks, const std::vector<int>& peer,
                        const std::vector<std::uint8_t>& send_buf,
                        const std::vector<std::uint64_t>& counts,
                        const std::vector<std::uint64_t>& displ,
-                       std::vector<std::vector<std::uint8_t>>& recv_seg) {
-  std::vector<PeerIo> io(num_ranks);
+                       std::vector<std::vector<std::uint8_t>>& recv_seg,
+                       PeerExchange& x) {
+  std::vector<PeerIo>& io = x.io;
+  io.assign(num_ranks, PeerIo{});
   std::size_t open = 0;
   for (int d = 0; d < num_ranks; ++d) {
     if (d == rank) continue;
@@ -106,7 +116,7 @@ void ExchangeWithPeers(int rank, int num_ranks, const std::vector<int>& peer,
     ++open;
   }
 
-  std::vector<struct pollfd> pfds;
+  std::vector<struct pollfd>& pfds = x.pfds;
   while (open > 0) {
     pfds.clear();
     for (int d = 0; d < num_ranks; ++d) {
@@ -209,6 +219,7 @@ void ExchangeWithPeers(int rank, int num_ranks, const std::vector<int>& peer,
   std::vector<std::uint64_t> counts(R), displ(R + 1);
   std::vector<std::uint8_t> send_buf, reply_hdr(static_cast<std::size_t>(R) * 8);
   std::vector<std::vector<std::uint8_t>> recv_seg(R);
+  PeerExchange exchange;
 
   for (;;) {
     std::uint8_t op8[8];
@@ -243,7 +254,8 @@ void ExchangeWithPeers(int rank, int num_ranks, const std::vector<int>& peer,
                           send_buf.begin() +
                               static_cast<long>(displ[rank] + counts[rank]));
 
-    ExchangeWithPeers(rank, R, peer, send_buf, counts, displ, recv_seg);
+    ExchangeWithPeers(rank, R, peer, send_buf, counts, displ, recv_seg,
+                      exchange);
 
     // Reply: per-src received-byte row, then the segments in ascending
     // src-rank order — the contiguous receive buffer of the alltoallv.
@@ -270,8 +282,17 @@ void ExchangeWithPeers(int rank, int num_ranks, const std::vector<int>& peer,
 // [fixed64 p2p_len][p2p segment][broadcast segment] over the SAME
 // socketpair alltoallv as the byte-shuttle mode — the broadcast segment
 // realizes the CONGEST fan-out rule (one copy per remote
-// neighbor-owning rank, deduped before packing).
+// neighbor-owning rank, deduped before packing), and carries only what
+// changed: a record for each broadcast that differs from its visible
+// one, a tombstone for each that went absent. The receiver carries
+// every other remote neighbor's broadcast forward (BroadcastStore::
+// Carry), so every node reads what it would read in-engine.
 // ---------------------------------------------------------------------
+
+// The length field of a tombstone record (`varint id, varint
+// kTombstone`): the owner withdrew the node's broadcast (halted or
+// silent). No payload has this many entries.
+constexpr std::uint64_t kTombstone = ~std::uint64_t{0};
 
 class SliceRuntime final : public NodeRuntime {
  public:
@@ -328,6 +349,9 @@ class SliceRuntime final : public NodeRuntime {
   }
   void RtHalt(NodeId v) override { halted_[v] = 1; }
 
+  // Fills the fan-out tables below from the slice adjacency.
+  void BuildFanOutTables();
+
   int rank_;
   int num_ranks_;
   Protocol* protocol_;
@@ -341,8 +365,8 @@ class SliceRuntime final : public NodeRuntime {
 
   // Full-size-n arrays so node ids index directly. Owned nodes stage
   // into bcast_ and read their neighbors from it; the visible slots of
-  // remote nodes hold only what this round's fan-out delivered (earlier
-  // deliveries lapse at Publish).
+  // remote nodes (ghosts_) hold their owners' visible broadcasts, kept
+  // current by the changed-only fan-out and Carry.
   BroadcastStore bcast_;
   std::vector<char> halted_;
   std::vector<std::vector<OutMessage>> outbox_;
@@ -350,6 +374,16 @@ class SliceRuntime final : public NodeRuntime {
 
   bool node_rng_ready_ = false;
   std::vector<util::Rng> node_rng_;  // indexed v - lo_
+
+  // Fan-out tables, built once at init. Owned node v (index v - lo_)
+  // broadcasts to the remote ranks fan_rank_[fan_off_[i] ..
+  // fan_off_[i + 1]) (ascending) and has remote_nbrs_[i] remote
+  // neighbors; ghosts_ lists, ascending, every remote node adjacent to
+  // an owned one — the remote slots this rank reads.
+  std::vector<std::size_t> fan_off_;
+  std::vector<int> fan_rank_;
+  std::vector<std::size_t> remote_nbrs_;
+  std::vector<NodeId> ghosts_;
 
   // Round scratch, persistent so steady-state rounds reallocate little.
   std::vector<std::uint64_t> p2p_row_, p2p_displ_;
@@ -360,6 +394,7 @@ class SliceRuntime final : public NodeRuntime {
   std::vector<util::WireWriter> seg_;  // p2p segment writers, one per dst
   std::vector<util::WireReader> tail_;  // broadcast segment per src rank
   std::vector<double> decoded_;         // one decoded remote broadcast
+  PeerExchange exchange_;
   util::U64Set distinct_;
   std::vector<std::uint64_t> distinct_sorted_;
 };
@@ -420,6 +455,7 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
     WorkerDie(rank_, "slice graph node count disagrees with init frame");
   }
 
+  BuildFanOutTables();
   bcast_.Reset(n_);
   halted_.assign(n_, 0);
   outbox_.resize(n_);
@@ -446,6 +482,35 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
   }
   if (r.failed() || r.remaining() != 0) {
     WorkerDie(rank_, "trailing bytes in init frame");
+  }
+}
+
+void SliceRuntime::BuildFanOutTables() {
+  const std::size_t owned = hi_ - lo_;
+  fan_off_.assign(owned + 1, 0);
+  fan_rank_.clear();
+  remote_nbrs_.assign(owned, 0);
+  std::vector<char> is_ghost(n_, 0);
+  for (NodeId v = lo_; v < hi_; ++v) {
+    // Owner ranks are non-decreasing along the id-sorted adjacency, so a
+    // moving cursor finds each node's owner and dedups the rank list.
+    int r = 0;
+    int last_remote = -1;
+    for (const graph::AdjEntry& a : slice_.Neighbors(v)) {
+      while (a.to >= rank_bounds_[r + 1]) ++r;
+      if (r == rank_) continue;
+      ++remote_nbrs_[v - lo_];
+      is_ghost[a.to] = 1;
+      if (r != last_remote) {
+        fan_rank_.push_back(r);
+        last_remote = r;
+      }
+    }
+    fan_off_[v - lo_ + 1] = fan_rank_.size();
+  }
+  ghosts_.clear();
+  for (NodeId u = 0; u < n_; ++u) {
+    if (is_ghost[u]) ghosts_.push_back(u);
   }
 }
 
@@ -510,37 +575,39 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   PackSegments(rank_bounds_.data(), R, outbox_, lo_, hi_, seg_.data());
   const std::uint64_t p2p_sent = p2p_displ_[R];  // diagonal included
 
-  // 3b. Pack the broadcast fan-out: each owned broadcast is encoded
-  // ONCE and its bytes appended to each remote neighbor-owning rank's
-  // segment — dedup by a moving rank cursor over the id-sorted
-  // adjacency (owner ranks are non-decreasing along it), never once
-  // per neighbor.
+  // 3b. Pack the broadcast fan-out: each owned broadcast that changed
+  // is encoded ONCE and its bytes appended to each remote
+  // neighbor-owning rank's segment (never once per neighbor); one that
+  // went absent sends a tombstone instead, and an unchanged one sends
+  // nothing — the receivers carry it. The byte counters keep the CONGEST
+  // model: every present broadcast, once per remote rank.
   std::uint64_t bcast_sent = 0, bcast_per_nbr = 0;
   for (int d = 0; d < R; ++d) bcast_buf_[d].clear();
   for (NodeId v = lo_; v < hi_; ++v) {
+    const int* first = fan_rank_.data() + fan_off_[v - lo_];
+    const int* last = fan_rank_.data() + fan_off_[v - lo_ + 1];
+    if (first == last) continue;  // no remote neighbor
     const BroadcastView staged = bcast_.Staged(v);
-    if (!staged) continue;
     bcast_scratch_.clear();
     util::WireAppender enc(bcast_scratch_);
-    enc.Varint(v);
-    enc.Varint(staged.size());
-    for (double x : staged) enc.Double(x);
-    const std::uint64_t bytes = bcast_scratch_.size();
-    int r = 0;
-    int last_remote = -1;
-    std::size_t remote_nbrs = 0;
-    for (const graph::AdjEntry& a : slice_.Neighbors(v)) {
-      while (a.to >= rank_bounds_[r + 1]) ++r;
-      if (r == rank_) continue;
-      ++remote_nbrs;
-      if (r != last_remote) {
-        util::WireAppender(bcast_buf_[r])
-            .Raw(bcast_scratch_.data(), bcast_scratch_.size());
-        bcast_sent += bytes;
-        last_remote = r;
-      }
+    if (staged) {
+      const std::uint64_t bytes = WireBroadcastBytes(v, staged.span());
+      bcast_sent += bytes * static_cast<std::uint64_t>(last - first);
+      bcast_per_nbr += bytes * remote_nbrs_[v - lo_];
+      if (bcast_.StagedUnchanged(v)) continue;
+      enc.Varint(v);
+      enc.Varint(staged.size());
+      for (double x : staged) enc.Double(x);
+    } else if (bcast_.Visible(v)) {
+      enc.Varint(v);
+      enc.Varint(kTombstone);
+    } else {
+      continue;
     }
-    bcast_per_nbr += bytes * remote_nbrs;
+    for (const int* r = first; r != last; ++r) {
+      util::WireAppender(bcast_buf_[*r])
+          .Raw(bcast_scratch_.data(), bcast_scratch_.size());
+    }
   }
 
   // 3c. Composite peer bodies: [fixed64 p2p_len][p2p seg][bcast seg],
@@ -564,7 +631,8 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
 
   // 4. The same nonblocking socketpair alltoallv as byte-shuttle mode.
   for (auto& seg : recv_seg_) seg.clear();
-  ExchangeWithPeers(rank_, R, peer, send_buf_, counts_, displ_, recv_seg_);
+  ExchangeWithPeers(rank_, R, peer, send_buf_, counts_, displ_, recv_seg_,
+                    exchange_);
 
   // 5. Deliver p2p into the owned inboxes, ascending src rank (the
   // diagonal segment decodes at its own position, s == rank, keeping
@@ -605,17 +673,16 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   }
 
   // 7. Publish: owned broadcasts become visible, then the peers'
-  // broadcast segments fill the remote slots — disjoint id ranges per
-  // src rank, so decode order across peers cannot matter. Deliver sets
-  // each remote node's changed flag against its previous delivery, the
-  // same flag the engine's Stage would have set (every neighbor of an
-  // owned node is delivered every round it broadcasts).
+  // broadcast segments update the remote slots — disjoint id ranges per
+  // src rank, so decode order across peers cannot matter. Deliver flags
+  // each record changed (it differs from the previous copy, or its owner
+  // would not have sent it), Retract drops a tombstoned node's copy, and
+  // Carry keeps every other ghost's previous broadcast, flagged
+  // unchanged: the same slots and flags the engine's Stage would leave.
   bcast_.Publish();
-  std::uint64_t bcast_received = 0;
   for (int s = 0; s < R; ++s) {
     if (s == rank_) continue;
     util::WireReader& br = tail_[s];
-    bcast_received += br.remaining();
     while (br.remaining() > 0) {
       const NodeId u = static_cast<NodeId>(br.Varint());
       if (u < rank_bounds_[s] || u >= rank_bounds_[s + 1]) {
@@ -623,7 +690,12 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
                          "the broadcaster");
       }
       const std::uint64_t len = br.Varint();
-      if (br.failed() || len > br.remaining() / 8) {
+      if (br.failed()) WorkerDie(rank_, "malformed broadcast segment");
+      if (len == kTombstone) {
+        bcast_.Retract(u);
+        continue;
+      }
+      if (len > br.remaining() / 8) {
         WorkerDie(rank_, "malformed broadcast segment");
       }
       decoded_.resize(len);
@@ -631,6 +703,14 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
       bcast_.Deliver(u, decoded_);
     }
     if (br.failed()) WorkerDie(rank_, "malformed broadcast segment");
+  }
+  // bcast_received is the model count too: each visible ghost broadcast
+  // arrived once, from its owner.
+  std::uint64_t bcast_received = 0;
+  for (NodeId u : ghosts_) {
+    bcast_.Carry(u);
+    const BroadcastView visible = bcast_.Visible(u);
+    if (visible) bcast_received += WireBroadcastBytes(u, visible.span());
   }
 
   std::size_t halted_count = 0;
@@ -1017,6 +1097,22 @@ void ProcessTransport::SendRankInitFrames() {
   const RankComputeSetup& s = rank_setup_;
   const std::uint64_t* rb = rank_bounds_.data();
   std::vector<std::uint8_t> state;
+
+  // Mode 0 ships rank r every edge incident to [rb[r], rb[r+1]), in
+  // global edge-id order so the worker-built adjacency (sorted by (to,
+  // edge)) matches the full graph's parallel-edge tie order bit for bit.
+  // The edge counts come from one pass of owner lookups; each frame's
+  // pass then tests its slice's bounds directly.
+  std::vector<std::uint64_t> m_r(R, 0);
+  if (s.graph_path.empty()) {
+    for (const graph::Edge& edge : s.graph->edges()) {
+      const int ou = OwnerIndex(rb, R, edge.u);
+      const int ov = OwnerIndex(rb, R, edge.v);
+      ++m_r[ou];
+      if (ov != ou) ++m_r[ov];
+    }
+  }
+
   for (int r = 0; r < R; ++r) {
     body_.clear();
     util::WireAppender a(body_);
@@ -1031,23 +1127,16 @@ void ProcessTransport::SendRankInitFrames() {
       a.Varint(s.graph_path.size());
       a.Raw(s.graph_path.data(), s.graph_path.size());
     } else {
-      // Mode 0: wire-serialize rank r's slice — every edge incident to
-      // [rb[r], rb[r+1]), in global edge-id order so the worker-built
-      // adjacency (sorted by (to, edge)) matches the full graph's
-      // parallel-edge tie order bit for bit.
-      a.Varint(0);
-      std::uint64_t m_r = 0;
-      for (const graph::Edge& e : s.graph->edges()) {
-        if (OwnerIndex(rb, R, e.u) == r || OwnerIndex(rb, R, e.v) == r) ++m_r;
-      }
-      a.Varint(m_r);
-      for (const graph::Edge& e : s.graph->edges()) {
-        if (OwnerIndex(rb, R, e.u) != r && OwnerIndex(rb, R, e.v) != r) {
+      a.Varint(0);  // mode: wire-serialized slice
+      a.Varint(m_r[r]);
+      const std::uint64_t lo = rb[r], hi = rb[r + 1];
+      for (const graph::Edge& edge : s.graph->edges()) {
+        if ((edge.u < lo || edge.u >= hi) && (edge.v < lo || edge.v >= hi)) {
           continue;
         }
-        a.Varint(e.u);
-        a.Varint(e.v);
-        a.Double(e.w);
+        a.Varint(edge.u);
+        a.Varint(edge.v);
+        a.Double(edge.w);
       }
     }
     for (NodeId v = static_cast<NodeId>(rb[r]);

@@ -108,8 +108,9 @@ class ProcessTransport final : public Transport {
   // from the master seed. Each RankStep drives one synchronous round:
   // workers run the compute phase over their slice, exchange p2p
   // segments AND the once-per-neighbor-owning-rank broadcast fan-out
-  // over the same peer socketpairs, and return RoundStats partials the
-  // parent merges in fixed rank order. The init/step/collect frame
+  // (only the broadcasts that changed, plus tombstones; receivers carry
+  // the rest) over the same peer socketpairs, and return RoundStats
+  // partials the parent merges in fixed rank order. The init/step/collect frame
   // layouts are tabulated in docs/TRANSPORTS.md.
   bool SupportsRankCompute() const override { return true; }
   void PrepareRankCompute(const RankComputeSetup& setup) override;
@@ -144,7 +145,8 @@ class ProcessTransport final : public Transport {
 
   // Builds and ships every rank its init frame (per-rank compute only):
   // seed, limits, rank bounds, graph slice (wire edges or binio path),
-  // and the per-owned-node protocol state blocks.
+  // and the per-owned-node protocol state blocks — one frame at a time,
+  // from edge owners looked up once for all ranks.
   void SendRankInitFrames();
 
   graph::NodeId n_ = 0;

@@ -1,8 +1,8 @@
 // Changed flags of distsim::BroadcastStore: what counts as a change
 // (presence, length, entry bit patterns), which operations force one,
-// and that a rank worker's Deliver path flags exactly what the engine's
-// Stage path flags for the same broadcast sequence — across the wrap of
-// the flags' byte-sized tags.
+// and that a rank worker's change-driven Deliver/Retract/Carry path
+// flags exactly what the engine's Stage path flags for the same
+// broadcast sequence, across the wrap of the flags' byte-sized tags.
 #include "distsim/broadcast_store.h"
 
 #include <gtest/gtest.h>
@@ -29,11 +29,22 @@ bool StageRound(BroadcastStore& s, const Bcast& p) {
   return s.VisibleUnchanged(0);
 }
 
-// The same round as a rank worker sees a node it does not own: publish,
-// then the peer's fan-out delivers `p` (or nothing).
-bool DeliverRound(BroadcastStore& s, const Bcast& p) {
+// The same round as a rank worker sees a node it does not own: the
+// owner's store stages `p` (or nothing) and decides what to ship — a
+// record if the staged broadcast changed, a tombstone if it went
+// absent, else nothing — and the receiving worker s publishes, applies
+// it, and carries node 0.
+bool DeltaRound(BroadcastStore& owner, BroadcastStore& s, const Bcast& p) {
+  if (p) owner.Stage(0, *p);
+  const BroadcastView staged = owner.Staged(0);
+  const bool record = staged && !owner.StagedUnchanged(0);
+  const bool tombstone = !staged && owner.Visible(0);
+  const std::vector<double> payload(staged.begin(), staged.end());
+  owner.Publish();
   s.Publish();
-  if (p) s.Deliver(0, *p);
+  if (record) s.Deliver(0, payload);
+  if (tombstone) s.Retract(0);
+  s.Carry(0);
   return s.VisibleUnchanged(0);
 }
 
@@ -128,51 +139,22 @@ TEST(BroadcastStoreChangedFlags, ClaimAndClearVisibleMarkChanged) {
 }
 
 TEST(BroadcastStoreChangedFlags, WorkerDeliveryOverTwoRounds) {
-  // A worker owning node 1 and decoding node 0 from a peer.
-  BroadcastStore s;
+  // A worker owning node 1 and reading node 0 from a peer.
+  BroadcastStore peer, s;
+  peer.Reset(2);
   s.Reset(2);
   s.Stage(1, std::vector<double>{7.0});
-  EXPECT_FALSE(DeliverRound(s, Bcast{{5.0}}));  // first delivery
+  EXPECT_FALSE(DeltaRound(peer, s, Bcast{{5.0}}));  // first delivery
   EXPECT_FALSE(s.VisibleUnchanged(1));
   s.Stage(1, std::vector<double>{7.0});
-  EXPECT_TRUE(DeliverRound(s, Bcast{{5.0}}));  // same as last round
-  EXPECT_TRUE(s.VisibleUnchanged(1));          // owned, same as last round
+  EXPECT_TRUE(DeltaRound(peer, s, Bcast{{5.0}}));  // same: carried
+  EXPECT_TRUE(s.VisibleUnchanged(1));  // owned, same as last round
   EXPECT_EQ(s.Visible(0)[0], 5.0);
-  EXPECT_FALSE(DeliverRound(s, Bcast{{5.0, 1.0, 2.0}}));
-  EXPECT_TRUE(DeliverRound(s, Bcast{{5.0, 1.0, 2.0}}));
-  EXPECT_FALSE(DeliverRound(s, std::nullopt));  // not delivered: absent
-  EXPECT_FALSE(DeliverRound(s, Bcast{{5.0, 1.0, 2.0}}));
-}
-
-TEST(BroadcastStoreChangedFlags, DeliverFlagsMatchStageFlagsPastTagWrap) {
-  // A random broadcast sequence (repeats, switches, silences) over more
-  // rounds than a byte-sized tag has values: the worker's Deliver path
-  // and the engine's Stage path must flag every round the same, and
-  // exactly when the broadcast repeats bit for bit.
-  util::Rng rng(17);
-  const std::vector<Bcast> choices = {
-      std::nullopt,      Bcast{{1.0}},      Bcast{{-0.0}},
-      Bcast{{0.0}},      Bcast{{1.0, 2.0}}, Bcast{{1.0, 2.0, 3.0}},
-      Bcast{std::vector<double>{}}};
-  BroadcastStore engine_side, worker_side;
-  engine_side.Reset(1);
-  worker_side.Reset(1);
-  Bcast last = std::nullopt;
-  std::size_t unchanged = 0;
-  for (int round = 0; round < 1200; ++round) {
-    // Mostly repeat; sometimes switch, possibly to silence.
-    Bcast next = last;
-    if (rng.NextBool(0.3)) next = choices[rng.NextBounded(choices.size())];
-    const bool a = StageRound(engine_side, next);
-    const bool b = DeliverRound(worker_side, next);
-    SCOPED_TRACE(round);
-    ASSERT_EQ(a, b);
-    ASSERT_EQ(a, SameBits(next, last));
-    unchanged += a ? 1 : 0;
-    last = next;
-  }
-  EXPECT_GT(unchanged, 300u);
-  EXPECT_LT(unchanged, 1100u);
+  EXPECT_FALSE(DeltaRound(peer, s, Bcast{{5.0, 1.0, 2.0}}));
+  EXPECT_TRUE(DeltaRound(peer, s, Bcast{{5.0, 1.0, 2.0}}));
+  EXPECT_FALSE(DeltaRound(peer, s, std::nullopt));  // tombstone: absent
+  EXPECT_FALSE(s.Visible(0).present());
+  EXPECT_FALSE(DeltaRound(peer, s, Bcast{{5.0, 1.0, 2.0}}));
 }
 
 TEST(BroadcastStoreChangedFlags, StaleFlagsNeverReadUnchanged) {
@@ -180,9 +162,12 @@ TEST(BroadcastStoreChangedFlags, StaleFlagsNeverReadUnchanged) {
   // buffers' tags wrap while the node stays silent.
   for (bool worker : {false, true}) {
     SCOPED_TRACE(worker);
-    BroadcastStore s;
+    BroadcastStore owner, s;
+    owner.Reset(1);
     s.Reset(1);
-    auto round = worker ? DeliverRound : StageRound;
+    auto round = [&](BroadcastStore& into, const Bcast& p) {
+      return worker ? DeltaRound(owner, into, p) : StageRound(into, p);
+    };
     round(s, Bcast{{3.0}});
     ASSERT_TRUE(round(s, Bcast{{3.0}}));
     ASSERT_TRUE(round(s, Bcast{{3.0}}));
@@ -192,6 +177,131 @@ TEST(BroadcastStoreChangedFlags, StaleFlagsNeverReadUnchanged) {
     EXPECT_FALSE(round(s, Bcast{{3.0}}));
     EXPECT_TRUE(round(s, Bcast{{3.0}}));
   }
+}
+
+TEST(BroadcastStoreChangedFlags, CarryKeepsAnOverflowPayload) {
+  // A worker owning node 1 and reading node 0 from a peer.
+  BroadcastStore s;
+  s.Reset(2);
+  s.Publish();
+  s.Deliver(0, std::vector<double>{5.0, -0.0, 7.0});
+  EXPECT_FALSE(s.VisibleUnchanged(0));
+  for (int t = 0; t < 4; ++t) {
+    s.Publish();
+    s.Carry(0);
+    ASSERT_TRUE(s.Visible(0).present()) << "round " << t;
+    EXPECT_TRUE(s.VisibleUnchanged(0));
+    ASSERT_TRUE(SameBits(Bcast{{5.0, -0.0, 7.0}},
+                         Bcast{std::vector<double>(s.Visible(0).begin(),
+                                                   s.Visible(0).end())}));
+  }
+  // A record wins over the carry, in either length class.
+  s.Publish();
+  s.Deliver(0, std::vector<double>{5.0});
+  s.Carry(0);
+  EXPECT_FALSE(s.VisibleUnchanged(0));
+  EXPECT_EQ(s.Visible(0).size(), 1u);
+  s.Publish();
+  s.Carry(0);
+  EXPECT_TRUE(s.VisibleUnchanged(0));
+  EXPECT_EQ(s.Visible(0)[0], 5.0);
+  // Owned node 1 never staged: absent, whatever happens to node 0.
+  EXPECT_FALSE(s.Visible(1).present());
+}
+
+TEST(BroadcastStoreChangedFlags, CarryAcrossTagWrap) {
+  BroadcastStore s;
+  s.Reset(1);
+  s.Publish();
+  s.Deliver(0, std::vector<double>{3.0, 4.0, 5.0});
+  for (int t = 0; t < 1100; ++t) {
+    s.Publish();
+    s.Carry(0);
+    ASSERT_TRUE(s.VisibleUnchanged(0)) << "round " << t;
+    ASSERT_EQ(s.Visible(0).size(), 3u) << "round " << t;
+    ASSERT_EQ(s.Visible(0)[2], 5.0) << "round " << t;
+  }
+  s.Publish();
+  s.Deliver(0, std::vector<double>{3.0, 4.0, 6.0});
+  s.Carry(0);
+  EXPECT_FALSE(s.VisibleUnchanged(0));
+  EXPECT_EQ(s.Visible(0)[2], 6.0);
+}
+
+TEST(BroadcastStoreChangedFlags, AbsentGhostStaysAbsent) {
+  BroadcastStore s;
+  s.Reset(1);
+  // Never delivered: the carry has nothing to keep.
+  for (int t = 0; t < 3; ++t) {
+    s.Publish();
+    s.Carry(0);
+    EXPECT_FALSE(s.Visible(0).present());
+    EXPECT_FALSE(s.VisibleUnchanged(0));
+  }
+  s.Publish();
+  s.Deliver(0, std::vector<double>{2.0});
+  s.Publish();
+  s.Carry(0);
+  ASSERT_TRUE(s.VisibleUnchanged(0));
+  // A tombstone: absent now, and absent in every later round — the copy
+  // from two rounds back must not come back through the carry.
+  s.Publish();
+  s.Retract(0);
+  s.Carry(0);
+  EXPECT_FALSE(s.Visible(0).present());
+  EXPECT_FALSE(s.VisibleUnchanged(0));
+  for (int t = 0; t < 600; ++t) {
+    s.Publish();
+    s.Carry(0);
+    ASSERT_FALSE(s.Visible(0).present()) << "round " << t;
+    ASSERT_FALSE(s.VisibleUnchanged(0)) << "round " << t;
+  }
+  // Back with the value it had before: present again, and changed.
+  s.Publish();
+  s.Deliver(0, std::vector<double>{2.0});
+  s.Carry(0);
+  EXPECT_TRUE(s.Visible(0).present());
+  EXPECT_FALSE(s.VisibleUnchanged(0));
+}
+
+TEST(BroadcastStoreChangedFlags, DeliverFlagsMatchStageFlagsPastTagWrap) {
+  // A random broadcast sequence (repeats, switches, silences) over more
+  // rounds than a byte-sized tag has values: the worker's change-driven
+  // fan-out and the engine's Stage path must flag every round the same,
+  // exactly when the broadcast repeats bit for bit, and leave the same
+  // payload bits visible.
+  util::Rng rng(23);
+  const std::vector<Bcast> choices = {
+      std::nullopt,      Bcast{{1.0}},      Bcast{{-0.0}},
+      Bcast{{0.0}},      Bcast{{1.0, 2.0}}, Bcast{{1.0, 2.0, 3.0}},
+      Bcast{std::vector<double>{}}, Bcast{{1.0, 2.0, 4.0}}};
+  BroadcastStore engine_side, owner, worker_side;
+  engine_side.Reset(1);
+  owner.Reset(1);
+  worker_side.Reset(1);
+  Bcast last = std::nullopt;
+  std::size_t unchanged = 0;
+  for (int round = 0; round < 1200; ++round) {
+    Bcast next = last;
+    if (rng.NextBool(0.3)) next = choices[rng.NextBounded(choices.size())];
+    const bool a = StageRound(engine_side, next);
+    const bool b = DeltaRound(owner, worker_side, next);
+    SCOPED_TRACE(round);
+    ASSERT_EQ(a, b);
+    ASSERT_EQ(a, SameBits(next, last));
+    const BroadcastView want = engine_side.Visible(0);
+    const BroadcastView got = worker_side.Visible(0);
+    ASSERT_EQ(got.present(), want.present());
+    if (want) {
+      ASSERT_TRUE(SameBits(Bcast{std::vector<double>(got.begin(), got.end())},
+                           Bcast{std::vector<double>(want.begin(),
+                                                     want.end())}));
+    }
+    unchanged += a ? 1 : 0;
+    last = next;
+  }
+  EXPECT_GT(unchanged, 300u);
+  EXPECT_LT(unchanged, 1100u);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // (examples/transport_flag.h): junk --transport/--ranks values, rank
 // topologies that don't fit the graph, and --per-rank-compute on a
 // transport that can't ship it must all exit 2 with a clear message —
-// never fall through to an engine-internal abort.
+// never fall through to an engine-internal abort. --threads above the
+// host's cores only warns.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,6 +33,27 @@ TEST(ToolFlags, AcceptsTheDocumentedValues) {
   EXPECT_EQ(RanksFromFlags(flags), 4);
   EXPECT_TRUE(PerRankComputeFromFlags(flags, kind));
   ValidateRankTopology(4, 100);  // fits: no exit
+}
+
+TEST(ToolFlags, ThreadsAboveTheCoresWarnOnceAndPassThrough) {
+  bool warned = false;
+  // Within the cores (or with the core count unknown): silent.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ThreadsFromFlags(ParseArgs({"--threads=4"}), 4, &warned), 4);
+  EXPECT_EQ(ThreadsFromFlags(ParseArgs({"--threads=64"}), 0, &warned), 64);
+  EXPECT_EQ(ThreadsFromFlags(ParseArgs({}), 4, &warned), 1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  EXPECT_FALSE(warned);
+  // Above them: the count is kept, and one warning names both numbers.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ThreadsFromFlags(ParseArgs({"--threads=8"}), 4, &warned), 8);
+  EXPECT_EQ(ThreadsFromFlags(ParseArgs({"--threads=16"}), 4, &warned), 16);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--threads=8 exceeds the 4 hardware threads"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("--threads=16"), std::string::npos) << err;
+  EXPECT_TRUE(warned);
 }
 
 TEST(ToolFlagsDeath, JunkTransportExitsTwo) {

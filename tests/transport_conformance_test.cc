@@ -23,6 +23,7 @@
 // abort naming the rank, not a hang).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
@@ -437,6 +438,97 @@ class UnchangedCount : public distsim::Protocol {
   std::vector<std::uint64_t> count_;
   std::vector<std::uint64_t> shown_;  // count_ as of the last refresh
   std::vector<std::uint64_t> digest_;
+};
+
+// Probe of the change-driven rank fan-out: each node's broadcast steps
+// through a per-pattern sequence of states, holding each for 3 rounds
+// (so most rounds repeat the last broadcast), and every round it folds
+// every NeighborBroadcast (presence, length, entry bits) and the
+// NeighborsUnchanged verdict into its digest. A missed record, a lost
+// tombstone, a wrong carry or a wrong changed flag on any rank flips a
+// digest.
+enum class DeltaPattern {
+  kAbsentAndBack,     // present, absent, back with the same value, new value
+  kHalt,              // a third of the nodes halt mid-run
+  kInlineBoundary,    // 1 -> 3 -> 3 -> 1 doubles across BroadcastStore::kInline
+  kSignedZeroAndNaN,  // 0.0, -0.0, a NaN, a NaN with other payload bits
+  kMixed,             // node v follows pattern v % 4
+};
+
+class DeltaProbe : public distsim::Protocol {
+ public:
+  DeltaProbe(NodeId n, DeltaPattern pattern)
+      : pattern_(pattern), digest_(n, 0x27d4eb2f165667c5ULL) {}
+
+  void Init(NodeContext& ctx) override { Emit(ctx); }
+
+  void Round(NodeContext& ctx) override {
+    std::uint64_t& h = digest_[ctx.id()];
+    const bool same = ctx.NeighborsUnchanged();
+    h = Mix(h, same ? 1 : 0);
+    unchanged_ += same ? 1 : 0;
+    for (std::size_t i = 0; i < ctx.degree(); ++i) {
+      const distsim::BroadcastView b = ctx.NeighborBroadcast(i);
+      h = Mix(h, b.present() ? b.size() + 1 : 0);
+      for (double x : b) h = MixDouble(h, x);
+      absent_reads_ += b.present() ? 0 : 1;
+    }
+    Emit(ctx);
+  }
+
+  const std::vector<std::uint64_t>& digest() const { return digest_; }
+  // Read-side tallies of the in-engine run, to show the probe is not
+  // vacuous (per-rank runs leave them unshipped).
+  std::uint64_t unchanged() const { return unchanged_; }
+  std::uint64_t absent_reads() const { return absent_reads_; }
+
+  KCORE_DIGEST_RANK_STATE()
+
+ private:
+  void Emit(NodeContext& ctx) {
+    const NodeId v = ctx.id();
+    const double x = static_cast<double>(v % 5);
+    const int state = (ctx.round() + 5 * static_cast<int>(v)) / 3 % 4;
+    DeltaPattern pattern = pattern_;
+    if (pattern == DeltaPattern::kMixed) {
+      pattern = static_cast<DeltaPattern>(v % 4);
+    }
+    switch (pattern) {
+      case DeltaPattern::kAbsentAndBack:
+        if (state == 1) return;
+        ctx.Broadcast({state == 3 ? x + 1.0 : x});
+        return;
+      case DeltaPattern::kHalt:
+        if (v % 3 == 0 && ctx.round() == 3 + static_cast<int>(v % 9)) {
+          ctx.Halt();
+          return;
+        }
+        ctx.Broadcast({x});
+        return;
+      case DeltaPattern::kInlineBoundary:
+        if (state == 0 || state == 3) {
+          ctx.Broadcast({x});
+        } else {
+          ctx.Broadcast({x, 1.0, state == 1 ? 2.0 : 3.0});
+        }
+        return;
+      case DeltaPattern::kSignedZeroAndNaN: {
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        const double values[] = {
+            0.0, -0.0, nan,
+            std::bit_cast<double>(std::bit_cast<std::uint64_t>(nan) | 1u)};
+        ctx.Broadcast({values[state]});
+        return;
+      }
+      case DeltaPattern::kMixed:
+        break;
+    }
+  }
+
+  DeltaPattern pattern_;
+  std::vector<std::uint64_t> digest_;
+  std::uint64_t unchanged_ = 0;
+  std::uint64_t absent_reads_ = 0;
 };
 
 template <typename Proto>
@@ -1084,6 +1176,88 @@ TEST(PerRankCompute, ChangedFlagsMatchInEngine) {
   }
 }
 
+// Every RoundStats field, the broadcast fan-out counters included.
+void ExpectSameRoundStats(const std::vector<RoundStats>& got,
+                          const std::vector<RoundStats>& want) {
+  ExpectSameLogicalHistory(got, want);
+  for (std::size_t i = 0; i < got.size() && i < want.size(); ++i) {
+    EXPECT_EQ(got[i].bytes_sent, want[i].bytes_sent) << "round " << i;
+    EXPECT_EQ(got[i].bytes_received, want[i].bytes_received) << "round " << i;
+    EXPECT_EQ(got[i].bcast_bytes_sent, want[i].bcast_bytes_sent)
+        << "round " << i;
+    EXPECT_EQ(got[i].bcast_bytes_received, want[i].bcast_bytes_received)
+        << "round " << i;
+    EXPECT_EQ(got[i].bcast_bytes_per_neighbor,
+              want[i].bcast_bytes_per_neighbor)
+        << "round " << i;
+  }
+}
+
+// Rank workers ship only the broadcasts that changed, plus tombstones
+// for the ones that went absent, and carry the rest forward. Whatever a
+// probe pattern does to its broadcasts, every node must read — and see
+// flagged — exactly what it reads in-engine, at every rank and thread
+// count, with the same RoundStats (the fan-out counters keep the
+// full-fan-out model).
+void ExpectDeltaFanOutMatchesInEngine(DeltaPattern pattern) {
+  util::Rng rng(430);
+  const graph::Graph g = graph::PowerLawConfiguration(500, 2.3, 2, 40, rng);
+  const NodeId n = g.num_nodes();
+  constexpr int kRounds = 21;
+  for (int ranks : {1, 2, 3, 4}) {
+    // The in-engine reference at the same rank topology, so its fan-out
+    // counters are the analytic ones for these ranks.
+    DeltaProbe base(n, pattern);
+    Engine eb(g, 1);
+    UseTransport(eb, TransportKind::kProcess, 1, ranks);
+    RunRounds(eb, base, kRounds);
+    // Not vacuous: the flag takes both values and some reads are absent.
+    ASSERT_GT(base.unchanged(), 0u);
+    ASSERT_LT(base.unchanged(), std::uint64_t{n} * kRounds);
+    if (pattern != DeltaPattern::kInlineBoundary &&
+        pattern != DeltaPattern::kSignedZeroAndNaN) {
+      ASSERT_GT(base.absent_reads(), 0u);
+    }
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "ranks=" << ranks << " threads=" << threads);
+      DeltaProbe p(n, pattern);
+      Engine e(g, threads);
+      e.SetParallelCutoff(1);
+      UseTransport(e, TransportKind::kProcess, threads, ranks);
+      e.SetPerRankCompute(true);
+      RunRounds(e, p, kRounds);
+      e.FetchRankState(p);
+      EXPECT_EQ(p.digest(), base.digest());
+      ExpectSameRoundStats(e.history(), eb.history());
+      EXPECT_EQ(e.num_halted(), eb.num_halted());
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(e.halted(v), eb.halted(v)) << "node " << v;
+      }
+    }
+  }
+}
+
+TEST(PerRankCompute, DeltaFanOutAbsentAndBack) {
+  ExpectDeltaFanOutMatchesInEngine(DeltaPattern::kAbsentAndBack);
+}
+
+TEST(PerRankCompute, DeltaFanOutHaltedNodesTombstone) {
+  ExpectDeltaFanOutMatchesInEngine(DeltaPattern::kHalt);
+}
+
+TEST(PerRankCompute, DeltaFanOutInlineBoundary) {
+  ExpectDeltaFanOutMatchesInEngine(DeltaPattern::kInlineBoundary);
+}
+
+TEST(PerRankCompute, DeltaFanOutSignedZeroAndNaN) {
+  ExpectDeltaFanOutMatchesInEngine(DeltaPattern::kSignedZeroAndNaN);
+}
+
+TEST(PerRankCompute, DeltaFanOutMixedPatterns) {
+  ExpectDeltaFanOutMatchesInEngine(DeltaPattern::kMixed);
+}
+
 TEST(PerRankCompute, MontresorQuiescenceMatchesInEngine) {
   util::Rng rng(405);
   const graph::Graph g = graph::BarabasiAlbert(600, 3, rng);
@@ -1151,10 +1325,35 @@ TEST(PerRankCompute, BinioSliceLoadMatchesWireSerializedSlice) {
   std::remove(path.c_str());
 }
 
+// Many ranks, past the tools' --ranks cap: every INIT frame must still
+// ship its slice's incident edges, in global edge-id order.
+TEST(PerRankCompute, InitFramesAtManyRanks) {
+  util::Rng rng(410);
+  const graph::Graph g = graph::BarabasiAlbert(240, 3, rng);
+  core::CompactOptions base_opts;
+  base_opts.rounds = 6;
+  base_opts.track_orientation = true;
+  const core::CompactResult base = core::RunCompactElimination(g, base_opts);
+  for (int ranks : {16, 17}) {
+    SCOPED_TRACE(ranks);
+    core::CompactOptions opts = base_opts;
+    opts.transport = TransportKind::kProcess;
+    opts.ranks = ranks;
+    opts.per_rank_compute = true;
+    const core::CompactResult res = core::RunCompactElimination(g, opts);
+    EXPECT_EQ(res.b, base.b);
+    EXPECT_EQ(res.in_sets, base.in_sets);
+    ExpectSameLogicalHistory(res.history, base.history);
+  }
+}
+
 // The broadcast fan-out accounting: the coordinator's ANALYTIC census
 // (in-engine compute, rank topology known) must equal the workers'
-// MEASURED bytes (per-rank compute, actual fan-out segments packed) —
-// round by round, field by field.
+// per-rank model count (per-rank compute, built from the fan-out tables
+// each worker derives from its slice at INIT) — round by round, field by
+// field. Both are the CONGEST model count of the fan-out rule; the bytes
+// the workers actually ship (changed broadcasts and tombstones only)
+// are smaller and are not pinned here.
 TEST(PerRankCompute, BroadcastFanOutAnalyticMatchesMeasured) {
   util::Rng rng(407);
   const graph::Graph g = graph::BarabasiAlbert(700, 4, rng);
@@ -1177,7 +1376,8 @@ TEST(PerRankCompute, BroadcastFanOutAnalyticMatchesMeasured) {
     EXPECT_EQ(measured.history[i].bcast_bytes_per_neighbor,
               analytic.history[i].bcast_bytes_per_neighbor)
         << "round " << i;
-    // What ships is what lands: fan-out copies are point-to-point.
+    // Every modelled copy is counted once by its sender and once by its
+    // receiver: fan-out copies are point-to-point.
     EXPECT_EQ(measured.history[i].bcast_bytes_sent,
               measured.history[i].bcast_bytes_received)
         << "round " << i;
