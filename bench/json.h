@@ -65,7 +65,12 @@ inline std::string JsonNumber(double value) {
 class JsonRow {
  public:
   JsonRow& Str(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + internal::JsonEscape(value) + "\"");
+    // Built with append: GCC 12's -Wrestrict misfires on
+    // "literal" + std::string&& (a false positive in <bits/char_traits.h>).
+    std::string quoted = "\"";
+    quoted += internal::JsonEscape(value);
+    quoted += '"';
+    fields_.emplace_back(key, std::move(quoted));
     return *this;
   }
   JsonRow& Num(const std::string& key, double value) {
@@ -85,8 +90,10 @@ class JsonRow {
     std::string out = "{";
     for (std::size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + internal::JsonEscape(fields_[i].first) +
-             "\": " + fields_[i].second;
+      out += '"';
+      out += internal::JsonEscape(fields_[i].first);
+      out += "\": ";
+      out += fields_[i].second;
     }
     out += "}";
     return out;

@@ -43,7 +43,6 @@ CompactElimination::CompactElimination(const graph::Graph& g,
   const NodeId n = g.num_nodes();
   b_.assign(n, std::numeric_limits<double>::infinity());
   order_.resize(n == 0 ? 0 : g.AdjOffset(n));
-  warm_.assign(n, 0);
   last_change_.assign(n, 0);
   if (opts_.track_orientation) in_sets_.resize(n);
   for (NodeId v = 0; v < n; ++v) {
@@ -68,6 +67,12 @@ void CompactElimination::Round(NodeContext& ctx) {
   const NodeId v = ctx.id();
   const auto nbrs = ctx.neighbors();
   const std::size_t d = nbrs.size();
+  // Update is a pure function of the neighbors' values and the order, and
+  // a stable re-sort of an order already sorted by the same values is the
+  // identity; so after this round, unchanged neighbor broadcasts (bitwise)
+  // reproduce b, the order and N_v exactly, and re-broadcast b: the node
+  // may sleep until one changes.
+  ctx.Sleep();
 
   if (d == 0) {
     // Isolated node: survives only threshold 0.
@@ -76,15 +81,6 @@ void CompactElimination::Round(NodeContext& ctx) {
       last_change_[v] = ctx.round();
     }
     ctx.Broadcast({0.0});
-    return;
-  }
-
-  // Update is a pure function of the neighbors' values and the order, and
-  // a stable re-sort of an order already sorted by the same values is the
-  // identity; so once v has run an Update here, unchanged neighbor
-  // broadcasts (bitwise) reproduce b, the order and N_v exactly.
-  if (warm_[v] != 0 && ctx.NeighborsUnchanged()) {
-    ctx.Broadcast({b_[v]});
     return;
   }
 
@@ -106,7 +102,6 @@ void CompactElimination::Round(NodeContext& ctx) {
   std::vector<std::uint32_t>* chosen =
       opts_.track_orientation ? &in_sets_[v] : nullptr;
   double nb = UpdateStep(in.values, in.weights, order, chosen);
-  warm_[v] = 1;
   if (opts_.lambda > 0.0) nb = RoundDownToPower(nb, opts_.lambda);
   if (nb != b_[v]) {
     b_[v] = nb;
@@ -131,21 +126,32 @@ void CompactElimination::SaveNodeState(NodeId v,
 }
 
 void CompactElimination::LoadNodeState(NodeId v, util::WireReader& in) {
-  b_[v] = in.Double();
-  last_change_[v] = static_cast<int>(static_cast<std::int64_t>(in.Fixed64()));
-  warm_[v] = 0;
-  // The order's length is the degree; any other length fails the reader
-  // (the caller's block-length check reports it).
+  // The loaded state is not the output of v's last Update here.
+  WakeSleepers();
+  std::uint64_t last = 0;
+  if (!in.TryDouble(&b_[v]) || !in.TryFixed64(&last)) return;
+  last_change_[v] = static_cast<int>(static_cast<std::int64_t>(last));
+  // The order's length is the degree, and N_v holds at most that many
+  // entries; any other length fails the reader (the caller's block-length
+  // check reports it).
   const std::span<std::uint32_t> order = Order(v);
   std::uint64_t len = 0;
   if (!in.TryVarint(&len) || len != order.size()) {
     in.Fail();
     return;
   }
-  for (std::uint32_t& i : order) i = in.Fixed32();
+  for (std::uint32_t& i : order) {
+    if (!in.TryFixed32(&i)) return;
+  }
   if (opts_.track_orientation) {
-    in_sets_[v].resize(in.Varint());
-    for (std::uint32_t& i : in_sets_[v]) i = in.Fixed32();
+    if (!in.TryVarint(&len) || len > order.size()) {
+      in.Fail();
+      return;
+    }
+    in_sets_[v].resize(len);
+    for (std::uint32_t& i : in_sets_[v]) {
+      if (!in.TryFixed32(&i)) return;
+    }
   }
 }
 

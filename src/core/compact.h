@@ -114,10 +114,6 @@ class CompactElimination : public distsim::Protocol {
   // Persistent neighbor permutations for the stable tie-breaking, one
   // flat array laid out like the adjacency (graph::Graph::AdjOffset).
   std::vector<std::uint32_t> order_;
-  // warm_[v] != 0 iff v ran an Update in this object since construction
-  // or its last LoadNodeState — the precondition for skipping Update on
-  // unchanged neighbor broadcasts.
-  std::vector<std::uint8_t> warm_;
   std::vector<std::vector<std::uint32_t>> in_sets_;
   std::vector<int> last_change_;
   // The reserve for each thread's Update scratch (ThreadUpdateInputs).

@@ -120,12 +120,24 @@ class BfsForestProtocol : public distsim::Protocol {
     for (NodeId c : children_[v]) out.Fixed32(c);
   }
   void LoadNodeState(NodeId v, util::WireReader& in) override {
-    leader_b_[v] = in.Double();
-    leader_id_[v] = in.Fixed32();
-    parent_[v] = in.Fixed32();
-    acked_[v] = static_cast<char>(in.Varint());
-    children_[v].resize(in.Varint());
-    for (NodeId& c : children_[v]) c = in.Fixed32();
+    std::uint32_t id = 0, parent = 0;
+    std::uint64_t acked = 0, kids = 0;
+    if (!in.TryDouble(&leader_b_[v]) || !in.TryFixed32(&id) ||
+        !in.TryFixed32(&parent) || !in.TryVarint(&acked) ||
+        !in.TryVarint(&kids)) {
+      return;
+    }
+    leader_id_[v] = id;
+    parent_[v] = parent;
+    acked_[v] = static_cast<char>(acked);
+    if (kids > in.remaining() / 4) {  // 4 bytes per child
+      in.Fail();
+      return;
+    }
+    children_[v].resize(kids);
+    for (NodeId& c : children_[v]) {
+      if (!in.TryFixed32(&c)) return;
+    }
   }
 
   const std::vector<double>& leader_b() const { return leader_b_; }
@@ -204,13 +216,17 @@ class TreeEliminationProtocol : public distsim::Protocol {
     }
   }
   void LoadNodeState(NodeId v, util::WireReader& in) override {
-    active_[v] = static_cast<char>(in.Varint());
-    const std::size_t T = in.Varint();
-    num_[v].resize(T);
-    deg_[v].resize(T);
-    for (std::size_t t = 0; t < T; ++t) {
-      num_[v][t] = static_cast<char>(in.Varint());
-      deg_[v][t] = in.Double();
+    std::uint64_t active = 0, T = 0;
+    if (!in.TryVarint(&active) || !in.TryVarint(&T)) return;
+    active_[v] = static_cast<char>(active);
+    if (T != static_cast<std::uint64_t>(T_)) {
+      in.Fail();
+      return;
+    }
+    for (int t = 0; t < T_; ++t) {
+      std::uint64_t num = 0;
+      if (!in.TryVarint(&num) || !in.TryDouble(&deg_[v][t])) return;
+      num_[v][t] = static_cast<char>(num);
     }
   }
 
@@ -300,15 +316,22 @@ class AggregationProtocol : public distsim::Protocol {
     }
   }
   void LoadNodeState(NodeId v, util::WireReader& in) override {
-    pending_[v] = in.Varint();
-    sent_up_[v] = static_cast<char>(in.Varint());
-    selected_[v] = static_cast<char>(in.Varint());
-    const std::size_t T = in.Varint();
-    agg_num_[v].resize(T);
-    agg_deg_[v].resize(T);
-    for (std::size_t t = 0; t < T; ++t) {
-      agg_num_[v][t] = in.Double();
-      agg_deg_[v][t] = in.Double();
+    std::uint64_t pending = 0, sent = 0, selected = 0, T = 0;
+    if (!in.TryVarint(&pending) || !in.TryVarint(&sent) ||
+        !in.TryVarint(&selected) || !in.TryVarint(&T)) {
+      return;
+    }
+    pending_[v] = pending;
+    sent_up_[v] = static_cast<char>(sent);
+    selected_[v] = static_cast<char>(selected);
+    if (T != static_cast<std::uint64_t>(T_)) {
+      in.Fail();
+      return;
+    }
+    for (int t = 0; t < T_; ++t) {
+      if (!in.TryDouble(&agg_num_[v][t]) || !in.TryDouble(&agg_deg_[v][t])) {
+        return;
+      }
     }
   }
 
@@ -454,18 +477,25 @@ class PipelinedAggregationProtocol : public distsim::Protocol {
     }
   }
   void LoadNodeState(NodeId v, util::WireReader& in) override {
-    decided_[v] = static_cast<char>(in.Varint());
-    selected_[v] = static_cast<char>(in.Varint());
-    next_send_[v] =
-        static_cast<int>(static_cast<std::int64_t>(in.Fixed64()));
-    const std::size_t T = in.Varint();
-    agg_num_[v].resize(T);
-    agg_deg_[v].resize(T);
-    got_[v].resize(T);
-    for (std::size_t t = 0; t < T; ++t) {
-      agg_num_[v][t] = in.Double();
-      agg_deg_[v][t] = in.Double();
-      got_[v][t] = in.Varint();
+    std::uint64_t decided = 0, selected = 0, next = 0, T = 0;
+    if (!in.TryVarint(&decided) || !in.TryVarint(&selected) ||
+        !in.TryFixed64(&next) || !in.TryVarint(&T)) {
+      return;
+    }
+    decided_[v] = static_cast<char>(decided);
+    selected_[v] = static_cast<char>(selected);
+    next_send_[v] = static_cast<int>(static_cast<std::int64_t>(next));
+    if (T != static_cast<std::uint64_t>(T_)) {
+      in.Fail();
+      return;
+    }
+    for (int t = 0; t < T_; ++t) {
+      std::uint64_t got = 0;
+      if (!in.TryDouble(&agg_num_[v][t]) || !in.TryDouble(&agg_deg_[v][t]) ||
+          !in.TryVarint(&got)) {
+        return;
+      }
+      got_[v][t] = got;
     }
   }
 
@@ -563,7 +593,46 @@ void AddTotals(distsim::Totals& acc, const distsim::Totals& t) {
       std::max(acc.max_entries_per_message, t.max_entries_per_message);
 }
 
+// Holds the phase protocols and the tables they reference.
+class PhaseSet final : public WeakDensestPhasesForTesting {
+ public:
+  PhaseSet(const Graph& g, int T)
+      : bfs_(g, Degrees(g), T),
+        forest_built_(RunForest(g, T, bfs_)),
+        tree_(g, bfs_.leader_b(), bfs_.leader_id(),
+              std::vector<char>(g.num_nodes(), 1), T),
+        agg_(g, bfs_.leader_b(), bfs_.parent(), bfs_.children(), tree_.num(),
+             tree_.deg(), T, 3.0),
+        pipelined_(g, bfs_.leader_b(), bfs_.parent(), bfs_.children(),
+                   tree_.num(), tree_.deg(), T, 3.0) {
+    protocols = {&bfs_, &tree_, &agg_, &pipelined_};
+  }
+
+ private:
+  static std::vector<double> Degrees(const Graph& g) {
+    std::vector<double> b(g.num_nodes());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) b[v] = g.WeightedDegree(v);
+    return b;
+  }
+  static bool RunForest(const Graph& g, int T, BfsForestProtocol& bfs) {
+    distsim::Engine engine(g, 1);
+    engine.Run(bfs, T + 3);
+    return true;
+  }
+
+  BfsForestProtocol bfs_;
+  bool forest_built_;  // bfs_ has run, before the later phases read it
+  TreeEliminationProtocol tree_;
+  AggregationProtocol agg_;
+  PipelinedAggregationProtocol pipelined_;
+};
+
 }  // namespace
+
+std::unique_ptr<WeakDensestPhasesForTesting> MakeWeakDensestPhasesForTesting(
+    const Graph& g, int T) {
+  return std::make_unique<PhaseSet>(g, T);
+}
 
 WeakDensestResult RunWeakDensest(const Graph& g, double gamma, int T_override,
                                  int num_threads) {

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/compact.h"
@@ -93,5 +94,18 @@ WeakDensestResult RunWeakDensest(const graph::Graph& g, double gamma,
 // Full-options variant.
 WeakDensestResult RunWeakDensest(const graph::Graph& g,
                                  const WeakDensestOptions& options);
+
+// The pipeline's four distributed phase protocols (BFS forest, tree
+// elimination, batch and pipelined aggregation) on g for T rounds, for
+// tests of their Save/LoadNodeState: the forest is the one phase 2
+// builds from b = degree, and the later phases start from it. The
+// protocols read tables the holder owns.
+class WeakDensestPhasesForTesting {
+ public:
+  virtual ~WeakDensestPhasesForTesting() = default;
+  std::vector<distsim::Protocol*> protocols;
+};
+std::unique_ptr<WeakDensestPhasesForTesting> MakeWeakDensestPhasesForTesting(
+    const graph::Graph& g, int T);
 
 }  // namespace kcore::core

@@ -56,9 +56,9 @@ class PeelingProtocol : public distsim::Protocol {
         static_cast<std::int64_t>(peel_round_[v])));
   }
   void LoadNodeState(NodeId v, util::WireReader& in) override {
-    thresholds_[v] = in.Double();
-    peel_round_[v] =
-        static_cast<int>(static_cast<std::int64_t>(in.Fixed64()));
+    std::uint64_t peel = 0;
+    if (!in.TryDouble(&thresholds_[v]) || !in.TryFixed64(&peel)) return;
+    peel_round_[v] = static_cast<int>(static_cast<std::int64_t>(peel));
   }
 
  private:
@@ -67,6 +67,11 @@ class PeelingProtocol : public distsim::Protocol {
 };
 
 }  // namespace
+
+std::unique_ptr<distsim::Protocol> MakePeelingProtocolForTesting(
+    const Graph& g, std::vector<double> thresholds) {
+  return std::make_unique<PeelingProtocol>(g, std::move(thresholds));
+}
 
 TwoPhaseResult RunTwoPhaseOrientation(const Graph& g, int phase1_rounds,
                                       double eps, int max_phase2_rounds,

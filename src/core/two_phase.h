@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "core/compact.h"
 #include "distsim/engine.h"
@@ -59,5 +61,10 @@ TwoPhaseResult RunTwoPhaseOrientation(
     bool balance_shards = false,
     distsim::TransportKind transport = distsim::TransportKind::kSharedMemory,
     int ranks = 1, bool per_rank_compute = false);
+
+// Phase 2's peeling protocol on g with the given per-node thresholds,
+// for tests of its Save/LoadNodeState.
+std::unique_ptr<distsim::Protocol> MakePeelingProtocolForTesting(
+    const graph::Graph& g, std::vector<double> thresholds);
 
 }  // namespace kcore::core

@@ -112,10 +112,21 @@ void DCoreProtocol::SaveNodeState(NodeId v, util::WireAppender& out) const {
 }
 
 void DCoreProtocol::LoadNodeState(NodeId v, util::WireReader& in) {
-  b_[v] = in.Double();
-  active_[v] = static_cast<char>(in.Varint());
-  order_[v].resize(in.Varint());
-  for (std::uint32_t& i : order_[v]) i = in.Fixed32();
+  // The order's length is v's in-degree; any other length, or a short
+  // blob, fails the reader (the caller's block-length check reports it).
+  std::uint64_t active = 0, len = 0;
+  if (!in.TryDouble(&b_[v]) || !in.TryVarint(&active) ||
+      !in.TryVarint(&len)) {
+    return;
+  }
+  active_[v] = static_cast<char>(active);
+  if (len != order_[v].size()) {
+    in.Fail();
+    return;
+  }
+  for (std::uint32_t& i : order_[v]) {
+    if (!in.TryFixed32(&i)) return;
+  }
 }
 
 DCoreElimResult RunDCoreElimination(const Digraph& g, double l,

@@ -1,53 +1,61 @@
-// The double-buffered broadcast slots behind NodeContext::Broadcast and
+// The broadcast slots behind NodeContext::Broadcast and
 // NodeContext::NeighborBroadcast — one store type for both compute
 // modes: the engine holds one over the full graph, and each per-rank
 // worker (process_transport.cc) holds one whose owned slots it computes
-// and whose remote slots it fills from its peers' fan-out.
+// and whose remote slots its peers' fan-out fills.
 //
-// Layout: every node owns one fixed-size slot per buffer — a presence
-// stamp, the payload length, and inline room for kInline doubles, which
-// covers every paper family (they broadcast one or two reals). A longer
-// payload spills into a per-node overflow vector; the overflow table is
-// created on the first long payload (so short-payload protocols never
-// pay for it) and its vectors keep their capacity, so a protocol whose
-// payload lengths repeat stops allocating after its first rounds.
+// Cost model: a round costs O(changes), not O(n). Every node has one
+// VISIBLE slot (what its neighbors read this round) and one STAGED slot,
+// and Stage writes the payload into the staged slot only when it differs
+// from the visible one, bit for bit (presence, length and every entry's
+// bit pattern, so 0.0 and -0.0 differ and a repeated NaN does not).
+// After a node's Round, Settle decides whether its broadcast changes —
+// a node that ran and staged nothing goes absent — and appends it to a
+// change list (one per compute chunk, so chunks settle concurrently).
+// Publish applies the lists: only the changed nodes' slots are copied
+// into the visible side. A node the round did not visit (a sleeping or
+// long-halted one) keeps its visible broadcast as if it had re-staged it.
 //
-// Presence is an epoch stamp rather than a flag that must be cleared:
-// a slot is present iff its stamp equals its buffer's epoch, and every
-// Publish hands the emptied staging buffer a fresh epoch, so publishing
-// is O(1) — no per-round sweep over n slots, and a worker's remote
-// slots from an earlier round lapse on their own.
+// Slots: a fixed 24 bytes — a stamp, the payload length, and inline room
+// for kInline doubles, which covers every paper family (they broadcast
+// one or two reals). A longer payload spills into a per-node overflow
+// vector; the overflow tables are created on the first long payload (so
+// short-payload protocols never pay for them) and their vectors keep
+// their capacity (Publish swaps a changed node's staged and visible
+// vectors), so a protocol whose payload lengths repeat stops allocating
+// after its first rounds. A staged slot counts only in the round whose
+// stamp it carries, so nothing is swept between rounds.
 //
-// Changed flags: every buffer also keeps one byte per node saying
-// whether the node's broadcast there is bitwise equal (presence, length,
-// and every entry's bit pattern) to its previous visible broadcast —
-// Stage compares against Visible; on a rank worker a delivered record
-// is always a change and a carried copy never is (see below). Protocols
-// read the visible side through NodeContext::NeighborsUnchanged to skip
-// recomputing from inputs that did not move; that test touches these n
-// bytes instead of the 24-byte slots. A byte means "unchanged" only when
-// it equals its buffer's current tag, and every Publish gives the
-// emptied buffer a fresh tag, so stale bytes — and with them absent
-// slots — read as changed without a sweep (one sweep of the n bytes
-// every 255 uses of a buffer, when its byte-sized tag wraps). Reset,
-// ClaimVisible and ClearVisible mark the slot changed.
+// Changed stamps: one 32-bit stamp per node holds the Publish at which
+// its visible broadcast last changed. NodeContext::NeighborsUnchanged
+// reads it (VisibleUnchanged: present, and not changed at the latest
+// Publish) and the engine's wake-up pull reads it (ChangedAtLastPublish),
+// each O(1) per neighbor. Deliver, Retract, ClaimVisible and ClearVisible
+// stamp the node changed. (The stamps compare equal again after 2^32
+// rounds; no run comes near that.)
 //
-// Change-driven fan-out: a rank worker ships a remote rank only the
-// broadcasts whose staged changed byte is clear (StagedUnchanged), plus
-// a tombstone for each one that went absent. The receiver, after
-// Publish, Delivers the records, Retracts the tombstoned nodes, and
-// Carries every other remote node it reads: the previous visible slot,
-// still in the staging buffer (which only owned nodes stage into), is
-// copied forward as present and unchanged — or left absent if it was.
+// Rank workers: an owner ships a remote rank its Pending changes — a
+// record for a broadcast that changed, a tombstone for one that went
+// absent — and the receiver, after its own Publish, Delivers the records
+// and Retracts the tombstoned nodes. Every other remote slot simply
+// keeps its value: with one visible slot per node, nothing needs
+// carrying forward.
 //
-// Concurrency: Stage/ClaimVisible for distinct nodes may run
-// concurrently (disjoint slots and flag bytes; the one-time overflow
-// setup is guarded by a once_flag); everything else runs between rounds.
-// Stage writes the staging buffer's flags while neighbors read the
-// visible buffer's, so the two never share a byte.
+// Quiescence (Engine::RunUntilQuiescent) keeps == semantics, as a
+// comparison of std::vector<double> payloads would: PublishedDiffers
+// says whether the latest Publish changed any settled node's broadcast
+// by ==, or whether any such node was showing a NaN (which never equals
+// itself). It is kept from the change lists plus a running count of
+// visible NaN-carrying broadcasts, so it costs O(changes) too.
+//
+// Concurrency: Stage and Settle for distinct nodes, into distinct change
+// lists, may run concurrently (disjoint slots and stamps; the one-time
+// overflow setup is guarded by a once_flag), and so may ApplyChanges for
+// distinct lists; everything else runs between rounds.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -87,170 +95,247 @@ class BroadcastStore {
   // Payload entries stored in the slot itself.
   static constexpr std::size_t kInline = 2;
 
-  // Sizes both buffers for n nodes, every slot absent. Call once,
-  // before any other member.
-  void Reset(graph::NodeId n) {
-    for (Buffer* b : {&prev_, &next_}) {
-      b->slots.assign(n, Slot{});
-      b->same.assign(n, 0);
-      b->tag = 1;
-    }
-    prev_.epoch = 1;
-    next_.epoch = 2;
-    epoch_ = 2;
+  // Sizes the store for n nodes, every slot absent, with `lists` change
+  // lists. Call once, before any other member.
+  void Reset(graph::NodeId n, std::size_t lists = 1) {
+    visible_.assign(n, Slot{});
+    staged_.assign(n, Slot{});
+    changed_at_.assign(n, 0);
+    publishes_ = 0;
+    nan_visible_ = 0;
+    differs_ = false;
+    lists_.assign(lists, ChangeList{});
   }
 
-  // The previous round's broadcast of v (what neighbors read).
-  BroadcastView Visible(graph::NodeId v) const { return prev_.View(v); }
-  // The broadcast v staged this round (what the census and packers read).
-  BroadcastView Staged(graph::NodeId v) const { return next_.View(v); }
+  // Resizes the set of change lists (between rounds; a no-op when the
+  // count is unchanged).
+  void SetLists(std::size_t lists) {
+    if (lists != lists_.size()) lists_.resize(lists);
+  }
+
+  // The broadcast neighbors read this round.
+  BroadcastView Visible(graph::NodeId v) const {
+    const Slot& s = visible_[v];
+    if (s.stamp == 0) return {};
+    return Data(visible_overflow_, s, v);
+  }
+
+  // What v broadcasts this round once it has settled (Settle): its
+  // staged payload if it changed, else its visible one — also the answer
+  // for a node the round did not visit. Read before Publish.
+  BroadcastView Staged(graph::NodeId v) const {
+    const Slot& s = staged_[v];
+    if (s.stamp != StageStamp() || s.size == kSame) return Visible(v);
+    if (s.size == kGone) return {};
+    return Data(staged_overflow_, s, v);
+  }
 
   // Whether v's visible broadcast is present and bitwise equal to its
-  // visible broadcast of the round before (see "Changed flags" above).
+  // visible broadcast of the round before.
   bool VisibleUnchanged(graph::NodeId v) const {
-    return prev_.same[v] == prev_.tag;
+    return changed_at_[v] != publishes_ && visible_[v].stamp != 0;
   }
 
-  // Whether v staged a broadcast this round that is present and bitwise
-  // equal to its visible one (the flag Stage set). Read before Publish.
-  bool StagedUnchanged(graph::NodeId v) const {
-    return next_.same[v] == next_.tag;
+  // Whether the latest Publish (or a Deliver, Retract, ClaimVisible or
+  // ClearVisible since) changed v's visible broadcast, presence included.
+  bool ChangedAtLastPublish(graph::NodeId v) const {
+    return changed_at_[v] == publishes_;
   }
 
-  // Stages v's broadcast for the next round, replacing any earlier one,
-  // and flags it changed unless it equals v's visible broadcast.
+  // Stages v's broadcast for the next round, replacing any earlier one
+  // this round. Writes the payload only if it differs from v's visible
+  // broadcast.
   void Stage(graph::NodeId v, std::span<const double> p) {
-    const bool same = BitwiseEqual(p, Visible(v));
-    const std::span<double> dst = Claim(next_, v, p.size());
+    Slot& s = staged_[v];
+    s.stamp = StageStamp();
+    if (BitwiseEqual(p, Visible(v))) {
+      s.size = kSame;
+      return;
+    }
+    const std::span<double> dst = Claim(staged_overflow_, s, v, p.size());
     std::copy(p.begin(), p.end(), dst.begin());
-    next_.same[v] = same ? next_.tag : 0;
   }
 
-  // Makes p node v's visible broadcast after a Publish, flagged changed:
-  // for a rank worker decoding a peer's fan-out record for a node it
-  // does not own, and the owner ships a record only when the broadcast
-  // changed.
+  // Called once for v after a round ran v (or in place of running a
+  // halted v): a v that staged nothing this round goes absent. Returns
+  // true — and appends v to change list `list` — iff v's broadcast
+  // differs from its visible one, in which case Visible(v) is the old
+  // broadcast and Staged(v) the new one until Publish.
+  bool Settle(graph::NodeId v, std::size_t list) {
+    Slot& s = staged_[v];
+    if (s.stamp != StageStamp()) {
+      if (visible_[v].stamp == 0) return false;  // absent stays absent
+      s.stamp = StageStamp();
+      s.size = kGone;
+    } else if (s.size == kSame) {
+      return false;
+    }
+    ChangeList& l = lists_[list];
+    if (l.stamp != StageStamp()) {
+      l.nodes.clear();
+      l.stamp = StageStamp();
+      l.differs = false;
+      l.nan_delta = 0;
+    }
+    l.nodes.push_back(v);
+    const BroadcastView before = Visible(v);
+    const BroadcastView after = Staged(v);
+    l.differs = l.differs || !ValueEqual(before, after);
+    l.nan_delta += (HasNaN(after) ? 1 : 0) - (HasNaN(before) ? 1 : 0);
+    return true;
+  }
+
+  std::size_t num_lists() const { return lists_.size(); }
+
+  // The nodes list `list` settled as changed this round (before Publish).
+  std::span<const graph::NodeId> Pending(std::size_t list) const {
+    return ListAt(list, StageStamp());
+  }
+  // The nodes of list `list` whose change the latest Publish applied.
+  std::span<const graph::NodeId> Changes(std::size_t list) const {
+    return ListAt(list, publishes_);
+  }
+
+  // The changed slots of list `list` become visible. Safe concurrently
+  // for distinct lists; Publish (or ApplyChanges over every list, then
+  // EndPublish) ends the round.
+  void ApplyChanges(std::size_t list) {
+    for (const graph::NodeId v : Pending(list)) {
+      const Slot& s = staged_[v];
+      Slot& d = visible_[v];
+      changed_at_[v] = publishes_ + 1;
+      if (s.size == kGone) {
+        d.stamp = 0;
+        continue;
+      }
+      d.stamp = 1;
+      d.size = s.size;
+      if (s.size <= kInline) {
+        std::copy(s.inline_data, s.inline_data + s.size, d.inline_data);
+      } else {
+        std::swap(visible_overflow_[v], staged_overflow_[v]);
+      }
+    }
+  }
+  void EndPublish() {
+    differs_ = nan_visible_ > 0;
+    for (const ChangeList& l : lists_) {
+      if (l.stamp != StageStamp()) continue;
+      differs_ = differs_ || l.differs;
+      nan_visible_ += l.nan_delta;
+    }
+    ++publishes_;
+  }
+  void Publish() {
+    for (std::size_t l = 0; l < lists_.size(); ++l) ApplyChanges(l);
+    EndPublish();
+  }
+
+  // Whether the latest Publish changed a settled node's broadcast by ==
+  // (see "Quiescence" above).
+  bool PublishedDiffers() const { return differs_; }
+
+  // After a Publish, on a rank worker: makes p the visible broadcast of
+  // a node it does not own (a peer's fan-out record), stamped changed.
   void Deliver(graph::NodeId v, std::span<const double> p) {
-    const std::span<double> dst = Claim(prev_, v, p.size());
+    const std::span<double> dst = ClaimVisible(v, p.size());
     std::copy(p.begin(), p.end(), dst.begin());
-    prev_.same[v] = 0;
   }
-
-  // After a Publish, for a node v whose owner withdrew its broadcast (a
-  // tombstone): drops v's previous visible broadcast, so Carry leaves v
-  // absent this round.
-  void Retract(graph::NodeId v) { next_.slots[v].stamp = 0; }
-
-  // After a Publish, for a node v that got no record this round: keeps
-  // its previous visible broadcast visible, flagged unchanged. A no-op
-  // when v was delivered this round or was absent (or retracted).
-  void Carry(graph::NodeId v) {
-    if (prev_.slots[v].stamp == prev_.epoch) return;  // delivered
-    const Slot& old = next_.slots[v];
-    if (old.stamp == 0 || old.stamp != next_.retired) return;  // absent
-    const std::size_t size = old.size;
-    const BroadcastView from = next_.Data(v, size);
-    const std::span<double> dst = Claim(prev_, v, size);
-    std::copy(from.begin(), from.end(), dst.begin());
-    prev_.same[v] = prev_.tag;
-  }
+  // After a Publish, on a rank worker: a tombstone — the owner withdrew
+  // v's broadcast (halted or silent).
+  void Retract(graph::NodeId v) { ClearVisible(v); }
 
   // Marks v's visible slot present (and changed) with `size` entries and
   // returns them for the caller to fill: the coordinator loading fetched
-  // worker state.
+  // worker state, and Deliver.
   std::span<double> ClaimVisible(graph::NodeId v, std::size_t size) {
-    prev_.same[v] = 0;
-    return Claim(prev_, v, size);
+    changed_at_[v] = publishes_;
+    Slot& s = visible_[v];
+    s.stamp = 1;
+    return Claim(visible_overflow_, s, v, size);
   }
   void ClearVisible(graph::NodeId v) {
-    prev_.slots[v].stamp = 0;
-    prev_.same[v] = 0;
-  }
-
-  // Whether any node in [lo, hi) staged a broadcast that differs from
-  // its visible one — in presence, length, or any entry (compared with
-  // ==, as std::vector<double> equality does). Read before Publish.
-  bool StagedDiffers(graph::NodeId lo, graph::NodeId hi) const {
-    for (graph::NodeId v = lo; v < hi; ++v) {
-      const BroadcastView a = Staged(v);
-      const BroadcastView b = Visible(v);
-      if (a.present() != b.present()) return true;
-      if (a.present() &&
-          !std::equal(a.begin(), a.end(), b.begin(), b.end())) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Staged broadcasts become visible; the staging buffer starts empty.
-  void Publish() {
-    std::swap(prev_, next_);
-    next_.retired = next_.epoch;
-    next_.epoch = ++epoch_;
-    if (++next_.tag == 0) {
-      std::fill(next_.same.begin(), next_.same.end(), std::uint8_t{0});
-      next_.tag = 1;
-    }
+    visible_[v].stamp = 0;
+    changed_at_[v] = publishes_;
   }
 
  private:
+  // Staged-slot sizes that carry no payload: the staged broadcast equals
+  // the visible one, or the node goes absent.
+  static constexpr std::uint32_t kSame = ~std::uint32_t{0};
+  static constexpr std::uint32_t kGone = kSame - 1;
+
   struct Slot {
-    std::uint32_t stamp = 0;  // == the buffer's epoch iff present
+    // Visible: 1 iff present. Staged: the StageStamp of the round that
+    // wrote it (stale in every later round).
+    std::uint32_t stamp = 0;
     std::uint32_t size = 0;
     double inline_data[kInline] = {};
   };
-  struct Buffer {
-    std::vector<Slot> slots;
-    // Per-node storage for payloads longer than kInline; empty until the
-    // first one (then sized n, in both buffers at once).
-    std::vector<std::vector<double>> overflow;
-    // Changed flags: same[v] == tag iff v's slot was filled this epoch
-    // with its previous visible broadcast, bit for bit. tag is never 0.
-    std::vector<std::uint8_t> same;
-    std::uint8_t tag = 1;
-    std::uint32_t epoch = 0;
-    // The epoch this buffer had while it was last the visible one (0:
-    // never; no slot is stamped 0 while present).
-    std::uint32_t retired = 0;
-
-    BroadcastView View(graph::NodeId v) const {
-      const Slot& s = slots[v];
-      if (s.stamp != epoch) return {};
-      return Data(v, s.size);
-    }
-    BroadcastView Data(graph::NodeId v, std::size_t size) const {
-      return {size <= kInline ? slots[v].inline_data : overflow[v].data(),
-              size};
-    }
+  // One chunk's changed nodes for the round whose StageStamp it carries,
+  // with what quiescence needs of them. A cache line each: chunks on
+  // different threads append to their lists concurrently.
+  struct alignas(64) ChangeList {
+    std::uint32_t stamp = 0;
+    std::vector<graph::NodeId> nodes;
+    bool differs = false;         // some change differs by ==
+    std::int64_t nan_delta = 0;  // NaN-carrying broadcasts gained
   };
 
-  // Presence, length and entry bit patterns all equal (so 0.0 and -0.0
-  // differ, and a NaN equals only its own bit pattern).
+  // The stamp of this round's stages: the Publish that will end it.
+  std::uint32_t StageStamp() const { return publishes_ + 1; }
+
+  std::span<const graph::NodeId> ListAt(std::size_t list,
+                                        std::uint32_t stamp) const {
+    const ChangeList& l = lists_[list];
+    if (l.stamp != stamp) return {};
+    return l.nodes;
+  }
+
+  static BroadcastView Data(const std::vector<std::vector<double>>& overflow,
+                            const Slot& s, graph::NodeId v) {
+    return {s.size <= kInline ? s.inline_data : overflow[v].data(), s.size};
+  }
+
+  // Presence, length and entry bit patterns all equal.
   static bool BitwiseEqual(std::span<const double> p, BroadcastView b) {
     return b.present() && b.size() == p.size() &&
            (p.empty() ||
             std::memcmp(p.data(), b.begin(), p.size() * sizeof(double)) == 0);
   }
+  // Presence equal and entries equal by == (as std::vector<double>).
+  static bool ValueEqual(BroadcastView a, BroadcastView b) {
+    if (a.present() != b.present()) return false;
+    return !a.present() || std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  static bool HasNaN(BroadcastView b) {
+    return std::any_of(b.begin(), b.end(),
+                       [](double x) { return std::isnan(x); });
+  }
 
-  std::span<double> Claim(Buffer& b, graph::NodeId v, std::size_t size) {
-    Slot& s = b.slots[v];
-    s.stamp = b.epoch;
+  std::span<double> Claim(std::vector<std::vector<double>>& overflow, Slot& s,
+                          graph::NodeId v, std::size_t size) {
     s.size = static_cast<std::uint32_t>(size);
     if (size <= kInline) return {s.inline_data, size};
     std::call_once(overflow_once_, [this] {
-      prev_.overflow.resize(prev_.slots.size());
-      next_.overflow.resize(next_.slots.size());
+      visible_overflow_.resize(visible_.size());
+      staged_overflow_.resize(staged_.size());
     });
-    std::vector<double>& o = b.overflow[v];
+    std::vector<double>& o = overflow[v];
     o.resize(size);
     return o;
   }
 
-  Buffer prev_, next_;
-  // The last epoch handed out; strictly increasing, so a stamp left in a
-  // buffer never matches a later epoch of either buffer.
-  std::uint32_t epoch_ = 0;
+  std::vector<Slot> visible_, staged_;
+  // Per-node storage for payloads longer than kInline; empty until the
+  // first one (then sized n, both at once).
+  std::vector<std::vector<double>> visible_overflow_, staged_overflow_;
+  std::vector<std::uint32_t> changed_at_;
+  std::vector<ChangeList> lists_;
+  std::uint32_t publishes_ = 0;
+  // Visible broadcasts that carry a NaN, among nodes that settle here.
+  std::int64_t nan_visible_ = 0;
+  bool differs_ = false;
   std::once_flag overflow_once_;
 };
 

@@ -1,7 +1,7 @@
 #include "distsim/engine.h"
 
 #include <algorithm>
-#include <cstring>
+#include <atomic>
 #include <span>
 
 #include "distsim/thread_pool.h"
@@ -57,6 +57,18 @@ void CheckSendAdjacent(std::span<const graph::AdjEntry> nbrs, NodeId from,
                   "Send target " << to << " not adjacent to " << from);
 }
 
+namespace {
+std::atomic<std::uint64_t> g_sleep_generation{0};
+}  // namespace
+
+std::uint64_t Protocol::SleepGeneration() {
+  return g_sleep_generation.load(std::memory_order_acquire);
+}
+
+void Protocol::WakeSleepers() {
+  g_sleep_generation.fetch_add(1, std::memory_order_acq_rel);
+}
+
 void Protocol::SaveNodeState(NodeId v, util::WireAppender& out) const {
   (void)v;
   (void)out;
@@ -107,6 +119,7 @@ Engine::Engine(const graph::Graph& g, int num_threads)
       transport_(std::make_unique<SharedMemoryTransport>()) {
   const NodeId n = g.num_nodes();
   bcast_.Reset(n);
+  frontier_.Reset(n);
   outbox_.resize(n);
   inbox_.resize(n);
   halted_.assign(n, 0);
@@ -242,99 +255,64 @@ bool Engine::UseParallelPhases() const {
   return num_threads_ > 1 && graph_.num_nodes() >= parallel_cutoff_;
 }
 
-std::size_t Engine::ComputeRange(Protocol& p, NodeId begin, NodeId end,
-                                 int round) {
-  std::size_t executed = 0;
-  for (NodeId v = begin; v < end; ++v) {
-    if (halted_[v]) continue;
-    ++executed;
-    NodeContext ctx = MakeContext(v, round, graph_.Neighbors(v), bcast_);
-    if (round == 0) {
-      p.Init(ctx);
-    } else {
-      p.Round(ctx);
+void Engine::ComputeRange(Protocol& p, NodeId begin, NodeId end, int round,
+                          std::size_t list, CollectPartial& part) {
+  const FanOutTable* fan = fan_.empty() ? nullptr : &fan_;
+  frontier_.Sweep(begin, end, graph_, bcast_, halted_.data(), [&](NodeId v) {
+    // A halted node is visited once more, the round after it halts, to
+    // settle its broadcast absent.
+    if (!halted_[v]) {
+      NodeContext ctx = MakeContext(v, round, graph_.Neighbors(v), bcast_);
+      if (round == 0) {
+        p.Init(ctx);
+      } else {
+        p.Round(ctx);
+      }
+      if (halted_[v]) {
+        ++part.halts;
+        frontier_.Wake(v);
+      } else if (!SleepRequested(ctx)) {
+        ++part.awake;
+        frontier_.Wake(v);
+      }
+      for (const OutMessage& m : outbox_[v]) {
+        ++part.p2p_messages;
+        part.p2p_entries += m.payload.size();
+        part.p2p_max_entries =
+            std::max(part.p2p_max_entries, m.payload.size());
+      }
     }
-  }
-  return executed;
-}
-
-void Engine::CensusRange(NodeId begin, NodeId end, CollectPartial& part) {
-  for (NodeId v = begin; v < end; ++v) {
-    const BroadcastView staged = bcast_.Staged(v);
-    if (staged) {
+    if (bcast_.Settle(v, list)) {
       const std::size_t deg = graph_.Degree(v);
-      part.messages += deg;
-      part.entries += deg * staged.size();
-      part.max_entries = std::max(part.max_entries, staged.size());
-      if (!staged.empty()) {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(double));
-        std::memcpy(&bits, staged.begin(), sizeof(bits));
-        part.distinct.Insert(bits);
-      }
-      if (num_ranks_ > 1) {
-        // Price the CONGEST broadcast fan-out this broadcast would cost
-        // a distributed backend: one encoded copy per REMOTE
-        // neighbor-owning rank (the rule the per-rank compute path
-        // actually pays, measured there and pinned equal to this
-        // analytic count by the conformance battery) vs one per remote
-        // neighbor. Adjacency is id-sorted and rank cells are ascending
-        // contiguous ranges, so owner ranks are non-decreasing along
-        // the walk — dedup is a single moving cursor, no per-neighbor
-        // search.
-        const std::uint64_t bytes = WireBroadcastBytes(v, staged.span());
-        const int home = OwnerIndex(rank_bounds_.data(), num_ranks_, v);
-        int r = 0;
-        int last_remote = -1;
-        std::size_t remote_ranks = 0;
-        std::size_t remote_nbrs = 0;
-        for (const graph::AdjEntry& a : graph_.Neighbors(v)) {
-          while (a.to >= rank_bounds_[r + 1]) ++r;
-          if (r == home) continue;
-          ++remote_nbrs;
-          if (r != last_remote) {
-            ++remote_ranks;
-            last_remote = r;
-          }
-        }
-        part.bcast_fanout_bytes += bytes * remote_ranks;
-        part.bcast_neighbor_bytes += bytes * remote_nbrs;
-      }
+      part.tally.Change(v, deg, bcast_.Visible(v), bcast_.Staged(v), fan);
+      part.changed_degree += deg;
     }
-    for (const OutMessage& m : outbox_[v]) {
-      part.messages += 1;
-      part.entries += m.payload.size();
-      part.max_entries = std::max(part.max_entries, m.payload.size());
-      ++part.p2p_messages;
-    }
-  }
+  });
 }
 
 std::size_t Engine::MergeCensus(RoundStats& stats) {
   // Chunk partials merge in chunk order; every merged quantity (sums,
-  // maxes, the size of the distinct-value union) is independent of which
-  // thread censused which chunk.
+  // maxes, the value counts) is independent of which thread ran which
+  // chunk.
   std::size_t total_p2p = 0;
+  std::size_t p2p_entries = 0;
+  awake_next_ = 0;
   for (const CollectPartial& part : partials_) {
-    stats.messages += part.messages;
-    stats.entries += part.entries;
-    stats.bcast_bytes_sent += part.bcast_fanout_bytes;
-    stats.bcast_bytes_received += part.bcast_fanout_bytes;
-    stats.bcast_bytes_per_neighbor += part.bcast_neighbor_bytes;
-    max_entries_per_message_ =
-        std::max(max_entries_per_message_, part.max_entries);
+    census_.Merge(part.tally);
+    max_entries_per_message_ = std::max(
+        {max_entries_per_message_, part.tally.max_entries,
+         part.p2p_max_entries});
     total_p2p += part.p2p_messages;
+    p2p_entries += part.p2p_entries;
+    num_halted_ += part.halts;
+    awake_next_ += part.awake;
   }
-  if (partials_.size() == 1) {
-    stats.distinct_values = partials_[0].distinct.size();
-  } else {
-    distinct_.Clear();
-    for (const CollectPartial& part : partials_) {
-      part.distinct.ForEach(
-          [&](std::uint64_t bits) { distinct_.Insert(bits); });
-    }
-    stats.distinct_values = distinct_.size();
-  }
+  stats.messages = census_.messages + total_p2p;
+  stats.entries = census_.entries + p2p_entries;
+  stats.distinct_values = census_.values.size();
+  stats.bcast_bytes_sent = census_.fanout_bytes;
+  stats.bcast_bytes_received = census_.fanout_bytes;
+  stats.bcast_bytes_per_neighbor = census_.neighbor_bytes;
   return total_p2p;
 }
 
@@ -369,10 +347,9 @@ void Engine::CountP2pRows() {
 void Engine::CollectRound(int round) {
   RoundStats stats;
   stats.round = round;
-  // Counted during the compute phase: a node is active iff its Init/Round
-  // actually ran this round (halting mid-round still counts the round it
-  // halted in).
-  stats.active_nodes = active_this_round_;
+  // Every node not halted when the round began, whether it ran or slept
+  // (halting mid-round still counts the round it halted in).
+  stats.active_nodes = graph_.num_nodes() - num_halted_;
 
   const bool parallel = UseParallelPhases();
   const std::size_t total_p2p = MergeCensus(stats);
@@ -414,34 +391,74 @@ void Engine::CollectRound(int round) {
     inboxes_dirty_ = true;
   }
 
+  PublishRound(total_p2p > 0);
   // Every p2p message staged this round sits in some inbox now, so the
   // round moved traffic iff total_p2p > 0.
   if (track_quiescence_) {
-    changed_ = total_p2p > 0 || bcast_.StagedDiffers(0, graph_.num_nodes());
+    changed_ = total_p2p > 0 || bcast_.PublishedDiffers();
   }
-  // Publish broadcasts for the next round.
-  bcast_.Publish();
 
   history_.push_back(stats);
 }
 
+void Engine::PublishRound(bool delivered_p2p) {
+  // Below this many changes, one thread applies them faster than a pool
+  // dispatch would.
+  constexpr std::size_t kParallelApply = 16384;
+  const std::size_t lists = bcast_.num_lists();
+  std::size_t changes = 0;
+  std::uint64_t changed_degree = 0;
+  for (std::size_t l = 0; l < lists; ++l) changes += bcast_.Pending(l).size();
+  for (const CollectPartial& part : partials_) {
+    changed_degree += part.changed_degree;
+  }
+  if (lists > 1 && changes >= kParallelApply) {
+    pool_->ParallelForDynamic(
+        list_bounds_, [&](int, std::uint64_t begin, std::uint64_t end) {
+          for (std::uint64_t l = begin; l < end; ++l) bcast_.ApplyChanges(l);
+        });
+  } else {
+    for (std::size_t l = 0; l < lists; ++l) bcast_.ApplyChanges(l);
+  }
+  bcast_.EndPublish();
+
+  // Wake-ups for the nodes that sleep into the next round.
+  const NodeId n = graph_.num_nodes();
+  const std::size_t sleepers = n - num_halted_ - awake_next_;
+  const std::uint64_t adjacency = n == 0 ? 0 : graph_.AdjOffset(n);
+  if (frontier_.Plan(sleepers, changed_degree, adjacency)) {
+    for (std::size_t l = 0; l < lists; ++l) {
+      frontier_.Push(graph_, bcast_.Changes(l), 0, n);
+    }
+  }
+  if (sleepers > 0 && delivered_p2p) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (!inbox_[v].empty()) frontier_.Wake(v);
+    }
+  }
+}
+
 void Engine::ComputePhase(Protocol& p, int round) {
   const NodeId n = graph_.num_nodes();
-  active_this_round_ = 0;
+  // A state load since the last round (Protocol::WakeSleepers) may have
+  // changed what a sleeping node's Round would stage: visit them all.
+  const std::uint64_t generation = Protocol::SleepGeneration();
+  if (generation != sleep_generation_) {
+    sleep_generation_ = generation;
+    frontier_.WakeAll();
+  }
   if (!UseParallelPhases()) {
     partials_.resize(1);
     partials_[0].Clear();
-    active_this_round_ = ComputeRange(p, 0, n, round);
-    CensusRange(0, n, partials_[0]);
+    bcast_.SetLists(1);
+    ComputeRange(p, 0, n, round, 0, partials_[0]);
     return;
   }
   // Disjoint contiguous id chunks; per-node state writes never alias and
-  // every chunk's executed count and census partial are its own (merged
-  // in chunk order), so this is race-free and bit-identical to the
-  // sequential order whichever thread runs a chunk. A chunk is censused
-  // right after its compute: the census reads only the chunk's own
-  // staged broadcasts and outboxes. The pool persists across rounds —
-  // workers are created once per engine.
+  // every chunk's census partial and change list are its own (merged in
+  // chunk order), so this is race-free and bit-identical to the
+  // sequential order whichever thread runs a chunk. The pool persists
+  // across rounds — workers are created once per engine.
   if (!pool_) pool_ = std::make_unique<ThreadPool>(num_threads_);
   // Degree-weighted boundaries are built on the Start() sweep and
   // refreshed on the rebalance interval — always here, between rounds,
@@ -453,17 +470,19 @@ void Engine::ComputePhase(Protocol& p, int round) {
     BuildShardBounds();
   }
   const std::span<const std::uint64_t> chunks = ComputeChunks();
-  executed_.assign(chunks.size() - 1, 0);
-  partials_.resize(chunks.size() - 1);
+  const std::size_t num_chunks = chunks.size() - 1;
+  partials_.resize(num_chunks);
   for (CollectPartial& part : partials_) part.Clear();
+  bcast_.SetLists(num_chunks);
+  if (list_bounds_.size() != num_chunks + 1) {
+    list_bounds_.resize(num_chunks + 1);
+    for (std::size_t l = 0; l <= num_chunks; ++l) list_bounds_[l] = l;
+  }
   pool_->ParallelForDynamic(
       chunks, [&](int chunk, std::uint64_t begin, std::uint64_t end) {
-        const auto b = static_cast<NodeId>(begin);
-        const auto e = static_cast<NodeId>(end);
-        executed_[chunk] = ComputeRange(p, b, e, round);
-        CensusRange(b, e, partials_[chunk]);
+        ComputeRange(p, static_cast<NodeId>(begin), static_cast<NodeId>(end),
+                     round, static_cast<std::size_t>(chunk), partials_[chunk]);
       });
-  for (const std::size_t e : executed_) active_this_round_ += e;
 }
 
 void Engine::Start(Protocol& p) {
@@ -494,6 +513,9 @@ void Engine::Start(Protocol& p) {
   // Room for a typical run's per-round stats up front, so steady-state
   // rounds do not reallocate the history (longer runs grow it amortized).
   history_.reserve(kHistoryReserve);
+  if (num_ranks_ > 1 && !per_rank_compute_) {
+    fan_.Build(graph_, rank_bounds_.data(), 0, n);
+  }
   if (per_rank_compute_) {
     // Coordinator mode: arm the transport with everything the workers
     // need to own their slices (protocol for Save/LoadNodeState, graph
@@ -615,9 +637,7 @@ std::size_t Engine::num_halted() const {
   // slice counts from the last round's reports are the live answer
   // (halted_ itself only syncs on FetchRankState).
   if (per_rank_compute_ && !history_.empty()) return rank_num_halted_;
-  std::size_t c = 0;
-  for (char h : halted_) c += h ? 1 : 0;
-  return c;
+  return num_halted_;
 }
 
 }  // namespace kcore::distsim

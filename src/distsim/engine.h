@@ -33,31 +33,34 @@
 // order, and the count rows and the exchange reuse the round's shard
 // boundaries, so results stay bit-identical whichever partitioner is
 // active and whichever thread runs a chunk:
-//   1. Compute: Protocol::Round(ctx) runs for every non-halted node; it
-//      sees every neighbor's round-(t-1) broadcast plus any point-to-point
-//      payloads addressed to it, may stage a new broadcast and p2p sends
-//      (visible to receivers in round t+1), and may Halt() the node.
-//      Per-node writes are disjoint by the Protocol contract. Broadcasts
-//      live in a BroadcastStore (broadcast_store.h): one fixed 24-byte
-//      slot per node and buffer — an epoch stamp that marks presence,
-//      the length, and inline room for BroadcastStore::kInline = 2
-//      doubles (every paper family broadcasts one or two reals); longer
-//      payloads spill into a per-node overflow vector created on first
-//      use and reused after. NeighborBroadcast reads the visible slot
-//      inline through the node's adjacency (no virtual call), and
-//      Broadcast copies into the staged slot, so with the per-thread
-//      Update scratch of core/update.h a steady-state round allocates
-//      nothing (tests/alloc_test.cc pins it). Stage also sets the node's
-//      changed flag — one byte per node and buffer, "unchanged" iff the
-//      staged broadcast equals the visible one bit for bit — and
-//      NeighborsUnchanged reads the visible flags of the adjacency, so a
-//      protocol can skip recomputing from inputs that did not move:
-//      compact elimination skips Update when it has run one in this
-//      object and every neighbor is unchanged, still broadcasting its b
-//      (so every RoundStats field stays as it was).
+//   1. Compute: Protocol::Round(ctx) runs for every non-halted node the
+//      round visits; it sees every neighbor's round-(t-1) broadcast plus
+//      any point-to-point payloads addressed to it, may stage a new
+//      broadcast and p2p sends (visible to receivers in round t+1), and
+//      may Halt() the node or Sleep(): a sleeping node is not visited
+//      until a neighbor's broadcast changes or a p2p message reaches it,
+//      and counts as if its Round had re-staged its visible broadcast
+//      (frontier.h) — compact elimination sleeps after every Round, so
+//      a converged round visits nothing. Per-node writes are disjoint by
+//      the Protocol contract. Broadcasts live in a BroadcastStore
+//      (broadcast_store.h): one visible and one staged 24-byte slot per
+//      node — a stamp, the length, and inline room for
+//      BroadcastStore::kInline = 2 doubles (every paper family
+//      broadcasts one or two reals); longer payloads spill into a
+//      per-node overflow vector created on first use and reused after.
+//      NeighborBroadcast reads the visible slot inline through the
+//      node's adjacency (no virtual call); Broadcast writes the staged
+//      slot only when the payload differs from the visible one, and
+//      after the node's Round the engine settles a changed node into
+//      its chunk's change list, so with the per-thread Update scratch of
+//      core/update.h a steady-state round allocates nothing
+//      (tests/alloc_test.cc pins it). NeighborsUnchanged reads each
+//      neighbor's changed stamp.
 //   2. Collect: the round census (message/entry counts, max message size,
-//      distinct broadcast values, active nodes), accumulated during the
-//      compute sweep as per-chunk partials, is merged in chunk order. If
+//      distinct broadcast values, active nodes) is kept as running sums
+//      over the staged broadcasts (census.h); each chunk accumulates the
+//      deltas of its own changes during the compute sweep, and they
+//      merge in chunk order. If
 //      any p2p message was staged, a count pass (pass 1, sharded by
 //      sender) tallies per-(shard, receiver) p2p in-degrees, and the
 //      staged p2p traffic is handed to the engine's Transport
@@ -87,9 +90,9 @@
 //          forked per rank (SetRankCount) exchange the packed segments
 //          over Unix-domain socketpairs; see docs/ARCHITECTURE.md and
 //          docs/TRANSPORTS.md for the rank topology and frame layout.
-//      The collect ends with BroadcastStore::Publish: the staged buffer
-//      becomes the visible one and the old visible buffer takes a fresh
-//      epoch, which empties it in O(1) — no sweep over n slots.
+//      The collect ends with the publish: the change lists' staged slots
+//      become visible (over the pool when there are many) — no sweep
+//      over n slots — and the changes wake their sleeping neighbors.
 //      Broadcasts stay in the engine's store under every transport in
 //      this (default) in-engine compute mode (a rank worker keeps its
 //      own store of the same type for its slice plus the remote slots
@@ -121,11 +124,12 @@
 #include <vector>
 
 #include "distsim/broadcast_store.h"
+#include "distsim/census.h"
+#include "distsim/frontier.h"
 #include "graph/graph.h"
 #include "util/function_ref.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/u64_set.h"
 
 namespace kcore::util {
 class WireAppender;
@@ -155,7 +159,10 @@ struct OutMessage {
 
 struct RoundStats {
   int round = 0;
-  std::size_t active_nodes = 0;     // nodes that executed Compute
+  // Nodes not halted at the start of the round: those whose Init/Round
+  // ran plus those asleep (NodeContext::Sleep), which count as if their
+  // Round had run and re-staged their visible broadcast.
+  std::size_t active_nodes = 0;
   std::size_t messages = 0;         // (sender, receiver) deliveries staged
   std::size_t entries = 0;          // doubles staged across all messages
   std::size_t distinct_values = 0;  // distinct first-entry broadcast values
@@ -233,10 +240,10 @@ class NodeContext {
 
   // True iff every NeighborBroadcast(i) is present and bitwise equal to
   // what it returned in the previous round (an absent or newly present
-  // broadcast counts as changed) — so a protocol whose round is a pure
-  // function of its neighbors' broadcasts and its own state may skip
-  // recomputing. Reads one changed byte per neighbor (broadcast_store.h),
-  // never the slots; no virtual call.
+  // broadcast counts as changed). Reads each neighbor's changed stamp
+  // (broadcast_store.h); no virtual call. A protocol whose round is a
+  // pure function of its neighbors' broadcasts and its own state should
+  // rather Sleep(): then it is not even visited while nothing changes.
   bool NeighborsUnchanged() const {
     for (const graph::AdjEntry& a : nbrs_) {
       if (!bcast_->VisibleUnchanged(a.to)) return false;
@@ -267,6 +274,16 @@ class NodeContext {
   // Stops participating: no further Compute calls, no broadcasts.
   void Halt();
 
+  // Vote to sleep after this round, like Pregel's vote-to-halt: the node
+  // is not visited again until a neighbor's broadcast changes (bitwise,
+  // presence included) or a p2p message reaches it, and until then the
+  // runtime behaves exactly as if its Round had run and re-staged its
+  // visible broadcast (which is what it must then do: no sends, halts,
+  // draws or state changes). A per-call opt-in, so decorating protocols
+  // pass it through untouched. A protocol whose node state can change
+  // between rounds must call Protocol::WakeSleepers (see there).
+  void Sleep() { sleep_ = true; }
+
  private:
   friend class NodeRuntime;
   NodeContext(NodeRuntime* rt, const BroadcastStore* bcast,
@@ -278,6 +295,7 @@ class NodeContext {
   std::span<const graph::AdjEntry> nbrs_;
   NodeId id_;
   int round_;
+  bool sleep_ = false;
 };
 
 // What a NodeContext delegates to: the engine's full-graph state
@@ -301,6 +319,8 @@ class NodeRuntime {
                           const BroadcastStore& bcast) noexcept {
     return NodeContext(this, &bcast, nbrs, id, round);
   }
+  // Whether the round that used ctx asked to sleep (NodeContext::Sleep).
+  static bool SleepRequested(const NodeContext& ctx) { return ctx.sleep_; }
 
  private:
   friend class NodeContext;
@@ -344,6 +364,22 @@ class Protocol {
   virtual bool SupportsRankCompute() const { return false; }
   virtual void SaveNodeState(NodeId v, util::WireAppender& out) const;
   virtual void LoadNodeState(NodeId v, util::WireReader& in);
+
+  // Bumped by WakeSleepers; every runtime compares it once per round and
+  // visits every node of a round that sees it move.
+  static std::uint64_t SleepGeneration();
+
+ protected:
+  // Wakes every sleeping node (NodeContext::Sleep) at its runtime's next
+  // round. A protocol whose nodes sleep must call it wherever node state
+  // changes outside Init/Round — in LoadNodeState at least — since a
+  // sleeping node's state must stay what its last Round left. The
+  // counter is process-wide, not per object: a decorating protocol
+  // forwards LoadNodeState to the one it wraps, so the engine, which
+  // only sees the decorator, could never read the inner object's count.
+  // A wake-up meant for another engine's protocol costs one full round,
+  // never a wrong result.
+  static void WakeSleepers();
 };
 
 class ThreadPool;
@@ -474,9 +510,9 @@ class Engine : private NodeRuntime {
   // Steps until a round changes nothing (no broadcasts staged differ from
   // the previous round and no p2p messages) or max_rounds is hit.
   // Returns the number of executed rounds. Used by the run-to-convergence
-  // baseline (Montresor et al.). Each round's collect compares the staged
-  // broadcasts with the visible ones before publishing, so the run keeps
-  // no copy of the previous round.
+  // baseline (Montresor et al.). Each round's publish reports whether a
+  // change differs by == (BroadcastStore::PublishedDiffers), so the run
+  // keeps no copy of the previous round.
   int RunUntilQuiescent(Protocol& p, int max_rounds);
 
   const graph::Graph& graph() const { return graph_; }
@@ -507,45 +543,48 @@ class Engine : private NodeRuntime {
   // Rounds of RoundStats history reserved at Start().
   static constexpr std::size_t kHistoryReserve = 64;
 
-  // Per-chunk census accumulator: stats partials plus this chunk's
-  // distinct first-entry broadcast values; merged on the caller in chunk
-  // order.
-  struct CollectPartial {
-    std::size_t messages = 0;
-    std::size_t entries = 0;
-    std::size_t max_entries = 0;
+  // Per-chunk round accumulator, merged on the caller in chunk order:
+  // the census deltas of the chunk's changed broadcasts, its staged p2p
+  // traffic, and what the wake plan needs. Cache-line aligned: chunks on
+  // different threads update theirs concurrently.
+  struct alignas(64) CollectPartial {
+    BroadcastTally tally;
     std::size_t p2p_messages = 0;
-    // Broadcast fan-out pricing (num_ranks > 1 only): wire bytes of
-    // shipping each broadcast once per remote neighbor-owning rank /
-    // once per remote neighbor.
-    std::size_t bcast_fanout_bytes = 0;
-    std::size_t bcast_neighbor_bytes = 0;
-    util::U64Set distinct;
+    std::size_t p2p_entries = 0;
+    std::size_t p2p_max_entries = 0;
+    // Adjacency entries of the chunk's changed nodes (the push volume).
+    std::uint64_t changed_degree = 0;
+    // Live nodes that ran and did not sleep, and nodes that halted.
+    std::size_t awake = 0;
+    std::size_t halts = 0;
 
-    // Zeroes the partial, keeping the set's storage.
+    // Zeroes the partial, keeping the tally's storage.
     void Clear() {
-      messages = entries = max_entries = p2p_messages = 0;
-      bcast_fanout_bytes = bcast_neighbor_bytes = 0;
-      distinct.Clear();
+      tally.Clear();
+      p2p_messages = p2p_entries = p2p_max_entries = 0;
+      changed_degree = 0;
+      awake = halts = 0;
     }
   };
 
   // Both phases shard iff the same predicate holds, so a run is either
   // wholly sequential or wholly pooled.
   bool UseParallelPhases() const;
-  // Returns the number of nodes that executed Init/Round in the range.
-  std::size_t ComputeRange(Protocol& p, NodeId begin, NodeId end, int round);
+  // Runs Init/Round for the nodes of [begin, end) the round visits
+  // (Frontier::Sweep), settles their broadcasts into change list `list`,
+  // and takes their census into `part`.
+  void ComputeRange(Protocol& p, NodeId begin, NodeId end, int round,
+                    std::size_t list, CollectPartial& part);
   // Runs the round's compute sweep — sequentially, or in chunks over the
   // pool when num_threads_ > 1 and the graph clears the cutoff. Both
   // Start (round 0) and Step go through here.
   void ComputePhase(Protocol& p, int round);
-  // Stats census over senders in [begin, end): broadcast fan-out and
-  // staged p2p messages, into `part`. Runs in the compute sweep, right
-  // after the range's compute.
-  void CensusRange(NodeId begin, NodeId end, CollectPartial& part);
-  // Merges the census partials into stats; returns the number of staged
-  // p2p messages. Delivery is the transport's job.
+  // Merges the census partials into the running tally and stats; returns
+  // the number of staged p2p messages. Delivery is the transport's job.
   std::size_t MergeCensus(RoundStats& stats);
+  // Makes the round's changes visible (over the pool when there are
+  // many) and plans which sleeping nodes they wake.
+  void PublishRound(bool delivered_p2p);
   // Parallel rounds that staged p2p: fills the per-(shard, receiver)
   // count rows of p2p_offsets_ and shard_sent_ over ActiveBounds.
   void CountP2pRows();
@@ -630,17 +669,25 @@ class Engine : private NodeRuntime {
   std::size_t max_entries_per_message_ = 0;
   std::size_t payload_limit_ = 0;
 
-  // Nodes whose Init/Round ran in the current round's compute phase
-  // (counted there, per chunk, and consumed by CollectRound's stats).
-  std::size_t active_this_round_ = 0;
+  // Which nodes each round visits (NodeContext::Sleep), and the
+  // Protocol::SleepGeneration it last saw.
+  Frontier frontier_;
+  std::uint64_t sleep_generation_ = 0;
+  // Halted nodes, counted as they halt; and the live nodes that stay
+  // awake into the next round (summed from the partials).
+  std::size_t num_halted_ = 0;
+  std::size_t awake_next_ = 0;
+  // The running census of the staged broadcasts, and (num_ranks > 1)
+  // the fan-out table that prices them, built at Start.
+  BroadcastCensus census_;
+  FanOutTable fan_;
   // Round scratch, kept across rounds so steady-state rounds allocate
-  // nothing: per-chunk executed counts and census partials (one partial
-  // when sequential) — a chunk covers the same ids every round, so each
-  // partial's set reaches its high-water mark whichever thread runs it —
-  // and the merged distinct-value set.
-  std::vector<std::size_t> executed_;
+  // nothing: per-chunk partials (one when sequential) — a chunk covers
+  // the same ids every round, so each partial reaches its high-water
+  // mark whichever thread runs it — and {0, 1, ..., chunks}, the
+  // partition that applies one change list per pool task.
   std::vector<CollectPartial> partials_;
-  util::U64Set distinct_;
+  std::vector<std::uint64_t> list_bounds_;
 
   // Per-node RNG streams behind NodeContext::Rng, keyed forks of
   // Rng(master_seed_). Built lazily on the first draw (call_once, so

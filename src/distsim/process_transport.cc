@@ -284,9 +284,13 @@ void ExchangeWithPeers(int rank, int num_ranks, const std::vector<int>& peer,
 // realizes the CONGEST fan-out rule (one copy per remote
 // neighbor-owning rank, deduped before packing), and carries only what
 // changed: a record for each broadcast that differs from its visible
-// one, a tombstone for each that went absent. The receiver carries
-// every other remote neighbor's broadcast forward (BroadcastStore::
-// Carry), so every node reads what it would read in-engine.
+// one, a tombstone for each that went absent. The receiver's remote
+// slots keep every other broadcast as it was, so every node reads what
+// it would read in-engine. Like the engine, a worker visits only the
+// owned nodes that are awake or woken (frontier.h): an owned change
+// wakes its owned neighbors, and a delivered record or tombstone wakes
+// the remote node's owned neighbors — which the slice adjacency lists,
+// since the slice keeps every edge incident to the owned range.
 // ---------------------------------------------------------------------
 
 // The length field of a tombstone record (`varint id, varint
@@ -349,9 +353,6 @@ class SliceRuntime final : public NodeRuntime {
   }
   void RtHalt(NodeId v) override { halted_[v] = 1; }
 
-  // Fills the fan-out tables below from the slice adjacency.
-  void BuildFanOutTables();
-
   int rank_;
   int num_ranks_;
   Protocol* protocol_;
@@ -365,25 +366,30 @@ class SliceRuntime final : public NodeRuntime {
 
   // Full-size-n arrays so node ids index directly. Owned nodes stage
   // into bcast_ and read their neighbors from it; the visible slots of
-  // remote nodes (ghosts_) hold their owners' visible broadcasts, kept
-  // current by the changed-only fan-out and Carry.
+  // remote nodes hold their owners' visible broadcasts, kept current by
+  // the changed-only fan-out.
   BroadcastStore bcast_;
+  Frontier frontier_;
+  std::uint64_t sleep_generation_ = 0;
   std::vector<char> halted_;
+  std::size_t halted_count_ = 0;  // owned
   std::vector<std::vector<OutMessage>> outbox_;
   std::vector<std::vector<InMessage>> inbox_;
+  bool inboxes_dirty_ = false;  // some owned inbox holds last round's mail
 
   bool node_rng_ready_ = false;
   std::vector<util::Rng> node_rng_;  // indexed v - lo_
 
-  // Fan-out tables, built once at init. Owned node v (index v - lo_)
-  // broadcasts to the remote ranks fan_rank_[fan_off_[i] ..
-  // fan_off_[i + 1]) (ascending) and has remote_nbrs_[i] remote
-  // neighbors; ghosts_ lists, ascending, every remote node adjacent to
-  // an owned one — the remote slots this rank reads.
-  std::vector<std::size_t> fan_off_;
-  std::vector<int> fan_rank_;
-  std::vector<std::size_t> remote_nbrs_;
-  std::vector<NodeId> ghosts_;
+  // The owned nodes' fan-out (remote ranks and remote-neighbor counts),
+  // built once at init; the running census of the owned broadcasts; and
+  // the model count of the remote broadcasts this rank sees (each
+  // visible one once, from its owner).
+  FanOutTable fan_;
+  BroadcastCensus census_;
+  BroadcastTally tally_;  // this round's changes
+  std::uint64_t bcast_received_ = 0;
+  // Remote nodes whose broadcast a peer changed this round.
+  std::vector<NodeId> remote_changes_;
 
   // Round scratch, persistent so steady-state rounds reallocate little.
   std::vector<std::uint64_t> p2p_row_, p2p_displ_;
@@ -395,7 +401,6 @@ class SliceRuntime final : public NodeRuntime {
   std::vector<util::WireReader> tail_;  // broadcast segment per src rank
   std::vector<double> decoded_;         // one decoded remote broadcast
   PeerExchange exchange_;
-  util::U64Set distinct_;
   std::vector<std::uint64_t> distinct_sorted_;
 };
 
@@ -435,6 +440,9 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
       if (!r.TryVarint(&u) || !r.TryVarint(&v) || !r.TryDouble(&w)) {
         WorkerDie(rank_, "truncated init frame (edge record)");
       }
+      if (u >= n_ || v >= n_) {
+        WorkerDie(rank_, "init frame edge endpoint out of range");
+      }
       b.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v), w);
     }
     slice_ = std::move(b).Build();
@@ -455,8 +463,9 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
     WorkerDie(rank_, "slice graph node count disagrees with init frame");
   }
 
-  BuildFanOutTables();
+  fan_.Build(slice_, rank_bounds_.data(), lo_, hi_);
   bcast_.Reset(n_);
+  frontier_.Reset(n_);
   halted_.assign(n_, 0);
   outbox_.resize(n_);
   inbox_.resize(n_);
@@ -485,132 +494,108 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
   }
 }
 
-void SliceRuntime::BuildFanOutTables() {
-  const std::size_t owned = hi_ - lo_;
-  fan_off_.assign(owned + 1, 0);
-  fan_rank_.clear();
-  remote_nbrs_.assign(owned, 0);
-  std::vector<char> is_ghost(n_, 0);
-  for (NodeId v = lo_; v < hi_; ++v) {
-    // Owner ranks are non-decreasing along the id-sorted adjacency, so a
-    // moving cursor finds each node's owner and dedups the rank list.
-    int r = 0;
-    int last_remote = -1;
-    for (const graph::AdjEntry& a : slice_.Neighbors(v)) {
-      while (a.to >= rank_bounds_[r + 1]) ++r;
-      if (r == rank_) continue;
-      ++remote_nbrs_[v - lo_];
-      is_ghost[a.to] = 1;
-      if (r != last_remote) {
-        fan_rank_.push_back(r);
-        last_remote = r;
-      }
-    }
-    fan_off_[v - lo_ + 1] = fan_rank_.size();
-  }
-  ghosts_.clear();
-  for (NodeId u = 0; u < n_; ++u) {
-    if (is_ghost[u]) ghosts_.push_back(u);
-  }
-}
-
 void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
                             std::vector<std::uint8_t>& reply) {
   const int R = num_ranks_;
-
-  // 1. Compute phase over the owned slice (sequential within a worker;
-  // per-rank parallelism is the processes themselves).
-  std::size_t active = 0;
-  for (NodeId v = lo_; v < hi_; ++v) {
-    if (halted_[v]) continue;
-    ++active;
-    NodeContext ctx = MakeContext(v, round, slice_.Neighbors(v), bcast_);
-    if (round == 0) {
-      protocol_->Init(ctx);
-    } else {
-      protocol_->Round(ctx);
-    }
+  const std::uint64_t generation = Protocol::SleepGeneration();
+  if (generation != sleep_generation_) {
+    sleep_generation_ = generation;
+    frontier_.WakeAll();
   }
 
-  // 2. Census over the owned slice — the same formulas as the engine's
-  // CensusRange, restricted to senders this rank owns (senders are
+  // 1. Compute phase over the owned nodes this round visits (sequential
+  // within a worker; per-rank parallelism is the processes themselves),
+  // with the census of what they staged — the same formulas as the
+  // engine's, restricted to senders this rank owns (senders are
   // partitioned by rank, so the parent's merged sums match the
-  // in-engine census exactly).
-  std::size_t messages = 0, entries = 0, max_entries = 0;
-  distinct_.Clear();
-  for (NodeId v = lo_; v < hi_; ++v) {
-    const BroadcastView staged = bcast_.Staged(v);
-    if (staged) {
-      const std::size_t deg = slice_.Degree(v);
-      messages += deg;
-      entries += deg * staged.size();
-      max_entries = std::max(max_entries, staged.size());
-      if (!staged.empty()) {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(double));
-        std::memcpy(&bits, staged.begin(), sizeof(bits));
-        distinct_.Insert(bits);
+  // in-engine census exactly). Sleeping nodes keep contributing their
+  // unchanged broadcasts through the running tally.
+  const std::size_t active = (hi_ - lo_) - halted_count_;
+  std::size_t p2p_messages = 0, p2p_entries = 0, max_entries = 0;
+  std::size_t awake = 0;
+  std::uint64_t changed_degree = 0;
+  tally_.Clear();
+  frontier_.Sweep(lo_, hi_, slice_, bcast_, halted_.data(), [&](NodeId v) {
+    if (!halted_[v]) {
+      NodeContext ctx = MakeContext(v, round, slice_.Neighbors(v), bcast_);
+      if (round == 0) {
+        protocol_->Init(ctx);
+      } else {
+        protocol_->Round(ctx);
+      }
+      if (halted_[v]) {
+        ++halted_count_;
+        frontier_.Wake(v);
+      } else if (!SleepRequested(ctx)) {
+        ++awake;
+        frontier_.Wake(v);
+      }
+      for (const OutMessage& m : outbox_[v]) {
+        ++p2p_messages;
+        p2p_entries += m.payload.size();
+        max_entries = std::max(max_entries, m.payload.size());
       }
     }
-    for (const OutMessage& m : outbox_[v]) {
-      messages += 1;
-      entries += m.payload.size();
-      max_entries = std::max(max_entries, m.payload.size());
+    if (bcast_.Settle(v, 0)) {
+      const std::size_t deg = slice_.Degree(v);
+      tally_.Change(v, deg, bcast_.Visible(v), bcast_.Staged(v), &fan_);
+      changed_degree += deg;
     }
-  }
+  });
+  census_.Merge(tally_);
+  max_entries = std::max(max_entries, tally_.max_entries);
 
-  // 3a. Pack this rank's p2p segments (shared codec — encodings, and
+  // 2a. Pack this rank's p2p segments (shared codec — encodings, and
   // therefore the byte accounting, identical to the in-engine path).
+  // Only visited nodes can have staged any.
   p2p_row_.assign(R, 0);
-  CountSegmentBytes(rank_bounds_.data(), R, outbox_, lo_, hi_,
-                    p2p_row_.data());
+  if (p2p_messages > 0) {
+    CountSegmentBytes(rank_bounds_.data(), R, outbox_, lo_, hi_,
+                      p2p_row_.data());
+  }
   p2p_displ_.assign(R + 1, 0);
   for (int d = 0; d < R; ++d) p2p_displ_[d + 1] = p2p_displ_[d] + p2p_row_[d];
   p2p_buf_.resize(p2p_displ_[R]);
-  seg_.clear();
-  for (int d = 0; d < R; ++d) {
-    std::uint8_t* base = p2p_buf_.data() + p2p_displ_[d];
-    seg_.emplace_back(base, base + p2p_row_[d]);
+  if (p2p_messages > 0) {
+    seg_.clear();
+    for (int d = 0; d < R; ++d) {
+      std::uint8_t* base = p2p_buf_.data() + p2p_displ_[d];
+      seg_.emplace_back(base, base + p2p_row_[d]);
+    }
+    PackSegments(rank_bounds_.data(), R, outbox_, lo_, hi_, seg_.data());
   }
-  PackSegments(rank_bounds_.data(), R, outbox_, lo_, hi_, seg_.data());
   const std::uint64_t p2p_sent = p2p_displ_[R];  // diagonal included
 
-  // 3b. Pack the broadcast fan-out: each owned broadcast that changed
+  // 2b. Pack the broadcast fan-out: each owned broadcast that changed
   // is encoded ONCE and its bytes appended to each remote
   // neighbor-owning rank's segment (never once per neighbor); one that
   // went absent sends a tombstone instead, and an unchanged one sends
-  // nothing — the receivers carry it. The byte counters keep the CONGEST
-  // model: every present broadcast, once per remote rank.
-  std::uint64_t bcast_sent = 0, bcast_per_nbr = 0;
+  // nothing — the receivers keep it. The model counters keep the CONGEST
+  // model (every present broadcast, once per remote rank) from the
+  // running tally; `shipped` counts what actually goes out.
+  std::uint64_t shipped = 0;
   for (int d = 0; d < R; ++d) bcast_buf_[d].clear();
-  for (NodeId v = lo_; v < hi_; ++v) {
-    const int* first = fan_rank_.data() + fan_off_[v - lo_];
-    const int* last = fan_rank_.data() + fan_off_[v - lo_ + 1];
-    if (first == last) continue;  // no remote neighbor
+  for (const NodeId v : bcast_.Pending(0)) {
+    const std::span<const int> ranks = fan_.Ranks(v);
+    if (ranks.empty()) continue;  // no remote neighbor
     const BroadcastView staged = bcast_.Staged(v);
     bcast_scratch_.clear();
     util::WireAppender enc(bcast_scratch_);
+    enc.Varint(v);
     if (staged) {
-      const std::uint64_t bytes = WireBroadcastBytes(v, staged.span());
-      bcast_sent += bytes * static_cast<std::uint64_t>(last - first);
-      bcast_per_nbr += bytes * remote_nbrs_[v - lo_];
-      if (bcast_.StagedUnchanged(v)) continue;
-      enc.Varint(v);
       enc.Varint(staged.size());
       for (double x : staged) enc.Double(x);
-    } else if (bcast_.Visible(v)) {
-      enc.Varint(v);
-      enc.Varint(kTombstone);
     } else {
-      continue;
+      enc.Varint(kTombstone);
     }
-    for (const int* r = first; r != last; ++r) {
-      util::WireAppender(bcast_buf_[*r])
+    for (const int r : ranks) {
+      util::WireAppender(bcast_buf_[r])
           .Raw(bcast_scratch_.data(), bcast_scratch_.size());
     }
+    shipped += bcast_scratch_.size() * ranks.size();
   }
 
-  // 3c. Composite peer bodies: [fixed64 p2p_len][p2p seg][bcast seg],
+  // 2c. Composite peer bodies: [fixed64 p2p_len][p2p seg][bcast seg],
   // contiguous per dst for ExchangeWithPeers' counts/displ contract.
   send_buf_.clear();
   counts_.assign(R, 0);
@@ -629,15 +614,17 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
     displ_[R] = send_buf_.size();
   }
 
-  // 4. The same nonblocking socketpair alltoallv as byte-shuttle mode.
+  // 3. The same nonblocking socketpair alltoallv as byte-shuttle mode.
   for (auto& seg : recv_seg_) seg.clear();
   ExchangeWithPeers(rank_, R, peer, send_buf_, counts_, displ_, recv_seg_,
                     exchange_);
 
-  // 5. Deliver p2p into the owned inboxes, ascending src rank (the
+  // 4. Deliver p2p into the owned inboxes, ascending src rank (the
   // diagonal segment decodes at its own position, s == rank, keeping
   // inboxes sender-id-sorted — the conformance contract).
-  for (NodeId v = lo_; v < hi_; ++v) inbox_[v].clear();
+  if (inboxes_dirty_) {
+    for (NodeId v = lo_; v < hi_; ++v) inbox_[v].clear();
+  }
   std::uint64_t p2p_received = 0;
   tail_.clear();
   for (int s = 0; s < R; ++s) {
@@ -658,28 +645,17 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
     tail_.emplace_back(recv_seg_[s].data() + 8 + p2p_len,
                        recv_seg_[s].size() - 8 - p2p_len);
   }
+  // Every message encodes to at least one byte.
+  inboxes_dirty_ = p2p_received > 0;
 
-  // 6. Slice quiescence: owned inbox traffic, or an owned broadcast
-  // staged this round that differs from its visible (previous-round)
-  // one. Slices partition the nodes, so the parent's OR over ranks
-  // equals the engine's global predicate.
-  bool changed = true;
-  if (track_quiescence_) {
-    changed = false;
-    for (NodeId v = lo_; v < hi_ && !changed; ++v) {
-      changed = !inbox_[v].empty();
-    }
-    if (!changed) changed = bcast_.StagedDiffers(lo_, hi_);
-  }
-
-  // 7. Publish: owned broadcasts become visible, then the peers'
-  // broadcast segments update the remote slots — disjoint id ranges per
-  // src rank, so decode order across peers cannot matter. Deliver flags
-  // each record changed (it differs from the previous copy, or its owner
-  // would not have sent it), Retract drops a tombstoned node's copy, and
-  // Carry keeps every other ghost's previous broadcast, flagged
-  // unchanged: the same slots and flags the engine's Stage would leave.
+  // 5. Publish: owned changes become visible, then the peers' broadcast
+  // segments update the remote slots — disjoint id ranges per src rank,
+  // so decode order across peers cannot matter. Deliver stamps each
+  // record changed (it differs from the previous copy, or its owner
+  // would not have sent it) and Retract drops a tombstoned node's copy:
+  // the same slots and stamps the engine's Publish would leave.
   bcast_.Publish();
+  remote_changes_.clear();
   for (int s = 0; s < R; ++s) {
     if (s == rank_) continue;
     util::WireReader& br = tail_[s];
@@ -691,6 +667,9 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
       }
       const std::uint64_t len = br.Varint();
       if (br.failed()) WorkerDie(rank_, "malformed broadcast segment");
+      const BroadcastView before = bcast_.Visible(u);
+      if (before) bcast_received_ -= WireBroadcastBytes(u, before.size());
+      remote_changes_.push_back(u);
       if (len == kTombstone) {
         bcast_.Retract(u);
         continue;
@@ -701,42 +680,54 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
       decoded_.resize(len);
       for (double& x : decoded_) x = br.Double();
       bcast_.Deliver(u, decoded_);
+      bcast_received_ += WireBroadcastBytes(u, len);
     }
     if (br.failed()) WorkerDie(rank_, "malformed broadcast segment");
   }
-  // bcast_received is the model count too: each visible ghost broadcast
-  // arrived once, from its owner.
-  std::uint64_t bcast_received = 0;
-  for (NodeId u : ghosts_) {
-    bcast_.Carry(u);
-    const BroadcastView visible = bcast_.Visible(u);
-    if (visible) bcast_received += WireBroadcastBytes(u, visible.span());
-  }
 
-  std::size_t halted_count = 0;
-  for (NodeId v = lo_; v < hi_; ++v) halted_count += halted_[v] ? 1 : 0;
+  // 6. Slice quiescence: owned inbox traffic, or an owned broadcast that
+  // changed (by ==, see broadcast_store.h). Slices partition the nodes,
+  // so the parent's OR over ranks equals the engine's global predicate.
+  const bool changed =
+      !track_quiescence_ || p2p_received > 0 || bcast_.PublishedDiffers();
+
+  // 7. Wake-ups for the owned nodes that sleep into the next round: a
+  // changed owned node wakes its owned neighbors, a changed remote node
+  // all of its slice neighbors (every one is owned).
+  const std::size_t sleepers = (hi_ - lo_) - halted_count_ - awake;
+  for (const NodeId u : remote_changes_) changed_degree += slice_.Degree(u);
+  if (frontier_.Plan(sleepers, changed_degree, slice_.AdjOffset(n_))) {
+    frontier_.Push(slice_, bcast_.Changes(0), lo_, hi_);
+    frontier_.Push(slice_, remote_changes_, lo_, hi_);
+  }
+  if (sleepers > 0 && p2p_received > 0) {
+    for (NodeId v = lo_; v < hi_; ++v) {
+      if (!inbox_[v].empty()) frontier_.Wake(v);
+    }
+  }
 
   // 8. The stats-partial reply. Distinct values travel as a sorted
   // bit-pattern list so the parent can union them exactly.
   std::vector<std::uint64_t>& dv = distinct_sorted_;
   dv.clear();
-  distinct_.ForEach([&](std::uint64_t bits) { dv.push_back(bits); });
+  census_.values.ForEach([&](std::uint64_t bits) { dv.push_back(bits); });
   std::sort(dv.begin(), dv.end());
   reply.clear();
   util::WireAppender a(reply);
   a.Varint(active);
-  a.Varint(messages);
-  a.Varint(entries);
+  a.Varint(census_.messages + p2p_messages);
+  a.Varint(census_.entries + p2p_entries);
   a.Varint(max_entries);
   a.Varint(p2p_sent);
   a.Varint(p2p_received);
-  a.Varint(bcast_sent);
-  a.Varint(bcast_received);
-  a.Varint(bcast_per_nbr);
-  a.Varint(halted_count);
+  a.Varint(census_.fanout_bytes);
+  a.Varint(bcast_received_);
+  a.Varint(census_.neighbor_bytes);
+  a.Varint(halted_count_);
   a.Varint(changed ? 1 : 0);
   a.Varint(dv.size());
   for (std::uint64_t bits : dv) a.Fixed64(bits);
+  a.Varint(shipped);
 }
 
 void SliceRuntime::Collect(std::vector<std::uint8_t>& reply) {
@@ -1222,6 +1213,7 @@ RankRoundResult ProcessTransport::RankStep(int round) {
     out.changed = br.Varint() != 0 || out.changed;
     const std::uint64_t k = br.Varint();
     for (std::uint64_t i = 0; i < k; ++i) distinct_.Insert(br.Fixed64());
+    bcast_bytes_shipped_ += br.Varint();
     KCORE_CHECK_MSG(!br.failed() && br.remaining() == 0,
                     "malformed stats reply from rank " << r);
   }

@@ -133,6 +133,13 @@ class ProcessTransport final : public Transport {
   // to assert teardown explicitly.
   bool Shutdown();
 
+  // Per-rank compute: the broadcast fan-out bytes the workers actually
+  // wrote to their peers since Start — records and tombstones for the
+  // broadcasts that changed. RoundStats::bcast_bytes_sent keeps the
+  // model count instead (every broadcast, every round), which the
+  // conformance battery pins equal to the in-engine census.
+  std::uint64_t bcast_bytes_shipped() const { return bcast_bytes_shipped_; }
+
   // Introspection for lifecycle tests and diagnostics.
   bool started() const { return started_; }
   int num_workers() const { return static_cast<int>(pids_.size()); }
@@ -186,6 +193,7 @@ class ProcessTransport final : public Transport {
   std::vector<std::uint8_t> body_;   // frame-body scratch (init/step/collect)
   std::vector<std::uint8_t> reply_;  // worker reply-body scratch
   util::U64Set distinct_;            // RankStep's distinct-value union
+  std::uint64_t bcast_bytes_shipped_ = 0;
 };
 
 // Hub-side orchestration shared by the socketpair and MPI flavors

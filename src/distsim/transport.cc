@@ -42,10 +42,6 @@ std::uint64_t WireMessageBytes(std::uint64_t from, const OutMessage& m) {
          util::VarintSize(m.payload.size()) + 8 * m.payload.size();
 }
 
-std::uint64_t WireBroadcastBytes(std::uint64_t v, std::span<const double> p) {
-  return util::VarintSize(v) + util::VarintSize(p.size()) + 8 * p.size();
-}
-
 void Transport::PrepareRankCompute(const RankComputeSetup& setup) {
   (void)setup;
   KCORE_CHECK_MSG(false, "transport '" << name()

@@ -62,6 +62,7 @@
 #include <string_view>
 #include <vector>
 
+#include "distsim/census.h"
 #include "distsim/engine.h"
 
 namespace kcore::util {
@@ -93,16 +94,7 @@ enum class TransportKind {
 // are identical across thread counts, rank counts, and backends.
 std::uint64_t WireMessageBytes(std::uint64_t from, const OutMessage& m);
 
-// Exact bytes one staged broadcast occupies in a packed broadcast
-// segment: varint broadcaster id + varint payload length + 8 bytes per
-// entry. The CONGEST fan-out rule: exactly ONE copy of this ships to
-// each REMOTE rank owning at least one of the broadcaster's neighbors
-// (never once per neighbor — dedup before packing), and none to the
-// broadcaster's own rank, where the value is a shared-memory read.
-// Absolute encoding, so the analytic in-engine census
-// (RoundStats::bcast_bytes_*) and the per-rank measured volume agree
-// byte for byte.
-std::uint64_t WireBroadcastBytes(std::uint64_t v, std::span<const double> p);
+// WireBroadcastBytes (census.h) is the broadcast counterpart.
 
 // Index of the partition cell owning node u (empty cells own nothing).
 int OwnerIndex(const std::uint64_t* bounds, int cells, graph::NodeId u);
@@ -211,7 +203,7 @@ struct RankRoundResult {
   std::size_t distinct_values = 0;  // size of the union of slice sets
   std::size_t bytes_sent = 0;       // p2p segment bytes, diagonal included
   std::size_t bytes_received = 0;
-  std::size_t bcast_bytes_sent = 0;  // fan-out copies actually shipped
+  std::size_t bcast_bytes_sent = 0;  // fan-out model count (RoundStats)
   std::size_t bcast_bytes_received = 0;
   std::size_t bcast_bytes_per_neighbor = 0;  // the naive baseline volume
   std::size_t num_halted = 0;  // summed over slices = global count

@@ -118,9 +118,18 @@ void HyperEliminationProtocol::SaveNodeState(NodeId v,
 }
 
 void HyperEliminationProtocol::LoadNodeState(NodeId v, util::WireReader& in) {
-  b_[v] = in.Double();
-  order_[v].resize(in.Varint());
-  for (std::uint32_t& i : order_[v]) i = in.Fixed32();
+  // The order's length is v's hyperedge count; any other length, or a
+  // short blob, fails the reader (the caller's block-length check
+  // reports it).
+  std::uint64_t len = 0;
+  if (!in.TryDouble(&b_[v]) || !in.TryVarint(&len)) return;
+  if (len != order_[v].size()) {
+    in.Fail();
+    return;
+  }
+  for (std::uint32_t& i : order_[v]) {
+    if (!in.TryFixed32(&i)) return;
+  }
 }
 
 HyperElimResult RunHyperElimination(const Hypergraph& h,

@@ -138,7 +138,7 @@ bool WireReader::TryRaw(void* out, std::size_t len) {
     failed_ = true;
     return false;
   }
-  std::memcpy(out, p_, len);
+  if (len > 0) std::memcpy(out, p_, len);  // out may be null when len == 0
   p_ += len;
   return true;
 }

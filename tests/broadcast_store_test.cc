@@ -1,8 +1,9 @@
-// Changed flags of distsim::BroadcastStore: what counts as a change
+// Changed stamps of distsim::BroadcastStore: what counts as a change
 // (presence, length, entry bit patterns), which operations force one,
-// and that a rank worker's change-driven Deliver/Retract/Carry path
-// flags exactly what the engine's Stage path flags for the same
-// broadcast sequence, across the wrap of the flags' byte-sized tags.
+// what the change lists and the quiescence predicate hold, and that a
+// rank worker's change-driven Deliver/Retract path stamps exactly what
+// the engine's Stage/Settle path stamps for the same broadcast sequence,
+// over many rounds.
 #include "distsim/broadcast_store.h"
 
 #include <gtest/gtest.h>
@@ -21,30 +22,30 @@ namespace {
 
 using Bcast = std::optional<std::vector<double>>;
 
-// One engine-style round for node 0: stage `p` (or nothing), publish,
-// and report whether the newly visible broadcast is flagged unchanged.
+// One engine-style round in which node 0 runs: stage `p` (or nothing),
+// settle, publish, and report whether the newly visible broadcast is
+// stamped unchanged.
 bool StageRound(BroadcastStore& s, const Bcast& p) {
   if (p) s.Stage(0, *p);
+  s.Settle(0, 0);
   s.Publish();
   return s.VisibleUnchanged(0);
 }
 
 // The same round as a rank worker sees a node it does not own: the
-// owner's store stages `p` (or nothing) and decides what to ship — a
-// record if the staged broadcast changed, a tombstone if it went
-// absent, else nothing — and the receiving worker s publishes, applies
-// it, and carries node 0.
+// owner's store stages `p` (or nothing), settles, and ships what its
+// change list holds — a record if the broadcast changed, a tombstone if
+// it went absent — and the receiving worker s publishes and applies it.
 bool DeltaRound(BroadcastStore& owner, BroadcastStore& s, const Bcast& p) {
   if (p) owner.Stage(0, *p);
+  const bool changed = owner.Settle(0, 0);
+  EXPECT_EQ(owner.Pending(0).size(), changed ? 1u : 0u);
   const BroadcastView staged = owner.Staged(0);
-  const bool record = staged && !owner.StagedUnchanged(0);
-  const bool tombstone = !staged && owner.Visible(0);
   const std::vector<double> payload(staged.begin(), staged.end());
   owner.Publish();
   s.Publish();
-  if (record) s.Deliver(0, payload);
-  if (tombstone) s.Retract(0);
-  s.Carry(0);
+  if (changed && staged) s.Deliver(0, payload);
+  if (changed && !staged) s.Retract(0);
   return s.VisibleUnchanged(0);
 }
 
@@ -68,6 +69,7 @@ TEST(BroadcastStoreChangedFlags, RestagingAnEqualPayloadIsUnchanged) {
   // Only the last Stage of a round counts.
   s.Stage(0, std::vector<double>{9.0});
   s.Stage(0, std::vector<double>{1.5});
+  EXPECT_FALSE(s.Settle(0, 0));
   s.Publish();
   EXPECT_TRUE(s.VisibleUnchanged(0));
   // Empty payloads compare equal to each other.
@@ -108,20 +110,75 @@ TEST(BroadcastStoreChangedFlags, SignedZeroAndNaNCompareBitwise) {
   EXPECT_TRUE(StageRound(s, Bcast{{nan}}));
   EXPECT_FALSE(StageRound(s, Bcast{{other_nan}}));
 
-  // StagedDiffers keeps == semantics (quiescence must not move): a sign
-  // flip of zero is no difference there, a repeated NaN always is.
-  s.Stage(0, std::vector<double>{0.0});
+  // PublishedDiffers keeps == semantics (quiescence must not move): a
+  // sign flip of zero is no difference there, a repeated NaN always is —
+  // also from a node that did not run (a sleeping node re-stages it).
+  StageRound(s, Bcast{{0.0}});
+  EXPECT_FALSE(StageRound(s, Bcast{{-0.0}}));
+  EXPECT_FALSE(s.PublishedDiffers());
+  StageRound(s, Bcast{{nan}});
+  EXPECT_TRUE(s.PublishedDiffers());
+  EXPECT_TRUE(StageRound(s, Bcast{{nan}}));
+  EXPECT_TRUE(s.PublishedDiffers());
+  s.Publish();  // node 0 not settled: it keeps its NaN
+  EXPECT_TRUE(s.PublishedDiffers());
+  StageRound(s, Bcast{{1.0}});
+  EXPECT_TRUE(s.PublishedDiffers());  // NaN -> 1.0
+  StageRound(s, Bcast{{1.0}});
+  EXPECT_FALSE(s.PublishedDiffers());
   s.Publish();
-  s.Stage(0, std::vector<double>{-0.0});
-  EXPECT_FALSE(s.StagedDiffers(0, 1));
+  EXPECT_FALSE(s.PublishedDiffers());
+  StageRound(s, std::nullopt);
+  EXPECT_TRUE(s.PublishedDiffers());  // present -> absent
+}
+
+TEST(BroadcastStoreChangedFlags, ChangeListsHoldExactlyTheChangedNodes) {
+  // Three nodes settle into two lists; a node the round does not visit
+  // (never settled) keeps its visible broadcast, as if it re-staged it.
+  BroadcastStore s;
+  s.Reset(4, 2);
+  for (graph::NodeId v = 0; v < 4; ++v) {
+    s.Stage(v, std::vector<double>{static_cast<double>(v)});
+    EXPECT_TRUE(s.Settle(v, v % 2));
+  }
+  EXPECT_EQ(std::vector<graph::NodeId>(s.Pending(0).begin(),
+                                       s.Pending(0).end()),
+            (std::vector<graph::NodeId>{0, 2}));
+  EXPECT_TRUE(s.Changes(0).empty());  // nothing published yet
   s.Publish();
-  EXPECT_FALSE(s.VisibleUnchanged(0));
-  s.Stage(0, std::vector<double>{nan});
+  EXPECT_TRUE(s.Pending(0).empty());
+  EXPECT_EQ(s.Changes(1).size(), 2u);
+  for (graph::NodeId v = 0; v < 4; ++v) {
+    EXPECT_TRUE(s.ChangedAtLastPublish(v));
+  }
+
+  s.Stage(0, std::vector<double>{0.0});  // same
+  EXPECT_FALSE(s.Settle(0, 0));
+  s.Stage(1, std::vector<double>{9.0, 8.0, 7.0});  // new, overflow
+  EXPECT_TRUE(s.Settle(1, 1));
+  EXPECT_TRUE(s.Settle(2, 0));  // ran, staged nothing: goes absent
+  EXPECT_FALSE(s.Staged(2).present());
+  EXPECT_EQ(s.Visible(2)[0], 2.0);  // neighbors still read the old one
+  EXPECT_EQ(s.Staged(3)[0], 3.0);   // node 3 did not run
   s.Publish();
-  s.Stage(0, std::vector<double>{nan});
-  EXPECT_TRUE(s.StagedDiffers(0, 1));
-  s.Publish();
+  EXPECT_EQ(s.Changes(0).size(), 1u);
+  EXPECT_EQ(s.Changes(1).size(), 1u);
+  EXPECT_FALSE(s.ChangedAtLastPublish(0));
   EXPECT_TRUE(s.VisibleUnchanged(0));
+  EXPECT_TRUE(s.ChangedAtLastPublish(1));
+  EXPECT_EQ(s.Visible(1).size(), 3u);
+  EXPECT_EQ(s.Visible(1)[2], 7.0);
+  EXPECT_FALSE(s.Visible(2).present());
+  EXPECT_TRUE(s.ChangedAtLastPublish(2));
+  EXPECT_TRUE(s.VisibleUnchanged(3));
+  EXPECT_EQ(s.Visible(3)[0], 3.0);
+
+  // An absent node that runs silent again is no change.
+  EXPECT_FALSE(s.Settle(2, 0));
+  s.Publish();
+  EXPECT_TRUE(s.Changes(0).empty());
+  EXPECT_TRUE(s.Changes(1).empty());
+  EXPECT_FALSE(s.ChangedAtLastPublish(2));
 }
 
 TEST(BroadcastStoreChangedFlags, ClaimAndClearVisibleMarkChanged) {
@@ -144,10 +201,12 @@ TEST(BroadcastStoreChangedFlags, WorkerDeliveryOverTwoRounds) {
   peer.Reset(2);
   s.Reset(2);
   s.Stage(1, std::vector<double>{7.0});
+  EXPECT_TRUE(s.Settle(1, 0));
   EXPECT_FALSE(DeltaRound(peer, s, Bcast{{5.0}}));  // first delivery
   EXPECT_FALSE(s.VisibleUnchanged(1));
   s.Stage(1, std::vector<double>{7.0});
-  EXPECT_TRUE(DeltaRound(peer, s, Bcast{{5.0}}));  // same: carried
+  EXPECT_FALSE(s.Settle(1, 0));
+  EXPECT_TRUE(DeltaRound(peer, s, Bcast{{5.0}}));  // same: nothing shipped
   EXPECT_TRUE(s.VisibleUnchanged(1));  // owned, same as last round
   EXPECT_EQ(s.Visible(0)[0], 5.0);
   EXPECT_FALSE(DeltaRound(peer, s, Bcast{{5.0, 1.0, 2.0}}));
@@ -158,8 +217,7 @@ TEST(BroadcastStoreChangedFlags, WorkerDeliveryOverTwoRounds) {
 }
 
 TEST(BroadcastStoreChangedFlags, StaleFlagsNeverReadUnchanged) {
-  // An unchanged flag written once must not come back to life when the
-  // buffers' tags wrap while the node stays silent.
+  // An unchanged stamp must not come back to life over a long silence.
   for (bool worker : {false, true}) {
     SCOPED_TRACE(worker);
     BroadcastStore owner, s;
@@ -179,7 +237,7 @@ TEST(BroadcastStoreChangedFlags, StaleFlagsNeverReadUnchanged) {
   }
 }
 
-TEST(BroadcastStoreChangedFlags, CarryKeepsAnOverflowPayload) {
+TEST(BroadcastStoreChangedFlags, RemoteSlotKeepsAnOverflowPayload) {
   // A worker owning node 1 and reading node 0 from a peer.
   BroadcastStore s;
   s.Reset(2);
@@ -188,88 +246,82 @@ TEST(BroadcastStoreChangedFlags, CarryKeepsAnOverflowPayload) {
   EXPECT_FALSE(s.VisibleUnchanged(0));
   for (int t = 0; t < 4; ++t) {
     s.Publish();
-    s.Carry(0);
     ASSERT_TRUE(s.Visible(0).present()) << "round " << t;
     EXPECT_TRUE(s.VisibleUnchanged(0));
     ASSERT_TRUE(SameBits(Bcast{{5.0, -0.0, 7.0}},
                          Bcast{std::vector<double>(s.Visible(0).begin(),
                                                    s.Visible(0).end())}));
   }
-  // A record wins over the carry, in either length class.
+  // A record replaces it, in either length class.
   s.Publish();
   s.Deliver(0, std::vector<double>{5.0});
-  s.Carry(0);
   EXPECT_FALSE(s.VisibleUnchanged(0));
   EXPECT_EQ(s.Visible(0).size(), 1u);
   s.Publish();
-  s.Carry(0);
   EXPECT_TRUE(s.VisibleUnchanged(0));
   EXPECT_EQ(s.Visible(0)[0], 5.0);
   // Owned node 1 never staged: absent, whatever happens to node 0.
   EXPECT_FALSE(s.Visible(1).present());
 }
 
-TEST(BroadcastStoreChangedFlags, CarryAcrossTagWrap) {
+TEST(BroadcastStoreChangedFlags, RemoteSlotKeptAcrossManyPublishes) {
   BroadcastStore s;
   s.Reset(1);
   s.Publish();
   s.Deliver(0, std::vector<double>{3.0, 4.0, 5.0});
   for (int t = 0; t < 1100; ++t) {
     s.Publish();
-    s.Carry(0);
     ASSERT_TRUE(s.VisibleUnchanged(0)) << "round " << t;
+    ASSERT_FALSE(s.ChangedAtLastPublish(0)) << "round " << t;
     ASSERT_EQ(s.Visible(0).size(), 3u) << "round " << t;
     ASSERT_EQ(s.Visible(0)[2], 5.0) << "round " << t;
   }
   s.Publish();
   s.Deliver(0, std::vector<double>{3.0, 4.0, 6.0});
-  s.Carry(0);
   EXPECT_FALSE(s.VisibleUnchanged(0));
+  EXPECT_TRUE(s.ChangedAtLastPublish(0));
   EXPECT_EQ(s.Visible(0)[2], 6.0);
 }
 
 TEST(BroadcastStoreChangedFlags, AbsentGhostStaysAbsent) {
   BroadcastStore s;
   s.Reset(1);
-  // Never delivered: the carry has nothing to keep.
+  // Never delivered: nothing to read.
   for (int t = 0; t < 3; ++t) {
     s.Publish();
-    s.Carry(0);
     EXPECT_FALSE(s.Visible(0).present());
     EXPECT_FALSE(s.VisibleUnchanged(0));
   }
   s.Publish();
   s.Deliver(0, std::vector<double>{2.0});
   s.Publish();
-  s.Carry(0);
   ASSERT_TRUE(s.VisibleUnchanged(0));
   // A tombstone: absent now, and absent in every later round — the copy
-  // from two rounds back must not come back through the carry.
+  // from two rounds back must not come back.
   s.Publish();
   s.Retract(0);
-  s.Carry(0);
   EXPECT_FALSE(s.Visible(0).present());
   EXPECT_FALSE(s.VisibleUnchanged(0));
+  EXPECT_TRUE(s.ChangedAtLastPublish(0));
   for (int t = 0; t < 600; ++t) {
     s.Publish();
-    s.Carry(0);
     ASSERT_FALSE(s.Visible(0).present()) << "round " << t;
     ASSERT_FALSE(s.VisibleUnchanged(0)) << "round " << t;
+    ASSERT_FALSE(s.ChangedAtLastPublish(0)) << "round " << t;
   }
   // Back with the value it had before: present again, and changed.
   s.Publish();
   s.Deliver(0, std::vector<double>{2.0});
-  s.Carry(0);
   EXPECT_TRUE(s.Visible(0).present());
   EXPECT_FALSE(s.VisibleUnchanged(0));
 }
 
-TEST(BroadcastStoreChangedFlags, DeliverFlagsMatchStageFlagsPastTagWrap) {
-  // A random broadcast sequence (repeats, switches, silences) over more
-  // rounds than a byte-sized tag has values: the worker's change-driven
-  // fan-out and the engine's Stage path must flag every round the same,
-  // exactly when the broadcast repeats bit for bit, and leave the same
-  // payload bits visible.
+TEST(BroadcastStoreChangedFlags, DeliverFlagsMatchStageFlagsOverManyRounds) {
+  // A random broadcast sequence (repeats, switches, silences) over many
+  // rounds: the worker's change-driven fan-out and the engine's
+  // Stage/Settle path must stamp every round the same, exactly when the
+  // broadcast repeats bit for bit, and leave the same payload bits
+  // visible.
   util::Rng rng(23);
   const std::vector<Bcast> choices = {
       std::nullopt,      Bcast{{1.0}},      Bcast{{-0.0}},

@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/compact.h"
 #include "core/densest.h"
 #include "core/elimination.h"
+#include "core/two_phase.h"
 #include "directed/dcore_protocol.h"
 #include "directed/digraph.h"
 #include "distsim/engine.h"
@@ -301,6 +303,91 @@ TEST_P(DensestDensityRatios, NaNAndInfFree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DensestDensityRatios, ::testing::Range(0, 20));
+
+// A rank worker loads every node's state blob from a frame: a short or
+// garbled blob must fail the reader — which the worker's block-length
+// check turns into a named error — never abort inside the wire codec.
+// Every strict prefix of every node's saved state is fed back, for each
+// protocol family that supports per-rank compute; the whole blob then
+// loads back to the same state.
+void ExpectLoadRejectsEveryTruncation(distsim::Protocol& p, NodeId n) {
+  std::vector<std::uint8_t> blob, again;
+  for (NodeId v = 0; v < n; ++v) {
+    blob.clear();
+    util::WireAppender out(blob);
+    p.SaveNodeState(v, out);
+    ASSERT_FALSE(blob.empty());
+    for (std::size_t len = 0; len < blob.size(); ++len) {
+      util::WireReader in(blob.data(), len);
+      p.LoadNodeState(v, in);
+      ASSERT_TRUE(in.failed())
+          << "node " << v << ": " << len << " of " << blob.size() << " bytes";
+    }
+    util::WireReader in(blob.data(), blob.size());
+    p.LoadNodeState(v, in);
+    ASSERT_FALSE(in.failed()) << "node " << v;
+    ASSERT_EQ(in.remaining(), 0u) << "node " << v;
+    again.clear();
+    util::WireAppender out2(again);
+    p.SaveNodeState(v, out2);
+    ASSERT_EQ(again, blob) << "node " << v;
+  }
+}
+
+TEST(LoadNodeStateRejects, TruncatedCompactState) {
+  util::Rng rng(4101);
+  const graph::Graph g = graph::PowerLawConfiguration(120, 2.3, 1, 20, rng);
+  for (bool track : {false, true}) {
+    SCOPED_TRACE(track);
+    core::CompactOptions opts;
+    opts.rounds = 4;
+    opts.track_orientation = track;
+    core::CompactElimination p(g, opts);
+    distsim::Engine engine(g, 1);
+    engine.Run(p, opts.rounds);
+    ExpectLoadRejectsEveryTruncation(p, g.num_nodes());
+  }
+}
+
+TEST(LoadNodeStateRejects, TruncatedTwoPhasePeelingState) {
+  util::Rng rng(4102);
+  const graph::Graph g = graph::BarabasiAlbert(80, 3, rng);
+  std::vector<double> thresholds(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) thresholds[v] = 0.5 * v;
+  const auto p = core::MakePeelingProtocolForTesting(g, thresholds);
+  distsim::Engine engine(g, 1);
+  engine.Run(*p, 3);
+  ExpectLoadRejectsEveryTruncation(*p, g.num_nodes());
+}
+
+TEST(LoadNodeStateRejects, TruncatedWeakDensestPhaseStates) {
+  util::Rng rng(4103);
+  const graph::Graph g = graph::BarabasiAlbert(80, 3, rng);
+  const auto phases = core::MakeWeakDensestPhasesForTesting(g, 4);
+  ASSERT_EQ(phases->protocols.size(), 4u);
+  for (std::size_t k = 0; k < phases->protocols.size(); ++k) {
+    SCOPED_TRACE(::testing::Message() << "phase protocol " << k);
+    ExpectLoadRejectsEveryTruncation(*phases->protocols[k], g.num_nodes());
+  }
+}
+
+TEST(LoadNodeStateRejects, TruncatedHyperEliminationState) {
+  util::Rng rng(4104);
+  const hyper::Hypergraph h = hyper::RandomUniform(40, 80, 3, rng);
+  hyper::HyperEliminationProtocol p(h);
+  distsim::Engine engine(p.substrate(), 1);
+  engine.Run(p, 3);
+  ExpectLoadRejectsEveryTruncation(p, h.num_nodes());
+}
+
+TEST(LoadNodeStateRejects, TruncatedDCoreState) {
+  util::Rng rng(4105);
+  const directed::Digraph g = directed::RandomDigraph(40, 0.2, rng);
+  directed::DCoreProtocol p(g, 1.0);
+  distsim::Engine engine(p.substrate(), 1);
+  engine.Run(p, 3);
+  ExpectLoadRejectsEveryTruncation(p, g.num_nodes());
+}
 
 }  // namespace
 }  // namespace kcore

@@ -23,6 +23,8 @@
 // abort naming the rank, not a hang).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <csignal>
@@ -1504,6 +1506,348 @@ TEST(PerRankCompute, WeakDensestMatrixBitIdentical) {
     EXPECT_EQ(res.totals.messages, base.totals.messages);
     EXPECT_EQ(res.totals.entries, base.totals.entries);
   }
+}
+
+// ---------------------------------------------------------------------
+// Sleeping nodes (NodeContext::Sleep): a node that votes to sleep is not
+// visited until a neighbor's broadcast changes or a p2p message reaches
+// it, and everything observable must be as if its Round had run and
+// re-staged its broadcast — in-engine at any thread count and transport,
+// and inside the rank workers.
+// ---------------------------------------------------------------------
+
+// Forwards to a protocol and counts its Round calls: per round in this
+// process, and per node as part of the node state, so per-rank runs
+// report them through FetchRankState too. Sleep() passes through the
+// NodeContext untouched.
+class RoundCounter final : public distsim::Protocol {
+ public:
+  RoundCounter(distsim::Protocol& inner, NodeId n, int rounds)
+      : inner_(inner), calls_(n, 0), per_round_(rounds + 1) {}
+
+  void Init(NodeContext& ctx) override { inner_.Init(ctx); }
+  void Round(NodeContext& ctx) override {
+    ++calls_[ctx.id()];
+    per_round_[ctx.round()].fetch_add(1, std::memory_order_relaxed);
+    inner_.Round(ctx);
+  }
+
+  bool SupportsRankCompute() const override {
+    return inner_.SupportsRankCompute();
+  }
+  void SaveNodeState(NodeId v, util::WireAppender& out) const override {
+    inner_.SaveNodeState(v, out);
+    out.Fixed64(calls_[v]);
+  }
+  void LoadNodeState(NodeId v, util::WireReader& in) override {
+    inner_.LoadNodeState(v, in);
+    std::uint64_t calls = 0;
+    if (in.TryFixed64(&calls)) calls_[v] = calls;
+  }
+
+  const std::vector<std::uint64_t>& calls() const { return calls_; }
+  std::uint64_t calls_in_round(int round) const {
+    return per_round_[round].load(std::memory_order_relaxed);
+  }
+
+ private:
+  distsim::Protocol& inner_;
+  std::vector<std::uint64_t> calls_;
+  std::vector<std::atomic<std::uint64_t>> per_round_;
+};
+
+// Compact elimination sleeps after every Round, so once its surviving
+// numbers stop moving a round visits no node at all — while every node
+// still counts as active and the census still counts its broadcast.
+TEST(SleepWake, ConvergedCompactMakesNoRoundCalls) {
+  util::Rng rng(9);
+  const graph::Graph g = graph::WithIntegerWeights(
+      graph::PowerLawConfiguration(1500, 2.3, 2, 150, rng), 4, rng);
+  const NodeId n = g.num_nodes();
+  constexpr int kRounds = 40;
+  core::CompactOptions opts;
+  opts.rounds = kRounds;
+
+  core::CompactElimination base_inner(g, opts);
+  RoundCounter base(base_inner, n, kRounds);
+  Engine eb(g, 1);
+  RunRounds(eb, base, kRounds);
+  EXPECT_EQ(base.calls_in_round(1), n);  // Init does not sleep
+  int quiet = 0;
+  while (quiet < kRounds && base.calls_in_round(kRounds - quiet) == 0) {
+    ++quiet;
+  }
+  ASSERT_GE(quiet, 5) << "the run did not converge";
+  ASSERT_LT(quiet, kRounds - 2);
+  for (const RoundStats& r : eb.history()) {
+    EXPECT_EQ(r.active_nodes, n) << "round " << r.round;
+    EXPECT_EQ(r.messages, eb.history().back().messages) << "round " << r.round;
+  }
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    core::CompactElimination inner(g, opts);
+    RoundCounter p(inner, n, kRounds);
+    Engine e(g, threads);
+    e.SetParallelCutoff(1);
+    RunRounds(e, p, kRounds);
+    for (int t = 1; t <= kRounds; ++t) {
+      EXPECT_EQ(p.calls_in_round(t), base.calls_in_round(t)) << "round " << t;
+    }
+    EXPECT_EQ(p.calls(), base.calls());
+    EXPECT_EQ(inner.b(), base_inner.b());
+    ExpectSameLogicalHistory(e.history(), eb.history());
+  }
+  for (int ranks : {1, 2, 3, 4}) {
+    for (bool per_rank : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "ranks=" << ranks << " per_rank=" << per_rank);
+      core::CompactElimination inner(g, opts);
+      RoundCounter p(inner, n, kRounds);
+      Engine e(g, 2);
+      e.SetParallelCutoff(1);
+      UseTransport(e, TransportKind::kProcess, 2, ranks);
+      e.SetPerRankCompute(per_rank);
+      RunRounds(e, p, kRounds);
+      e.FetchRankState(p);
+      if (!per_rank) {
+        for (int t = 1; t <= kRounds; ++t) {
+          EXPECT_EQ(p.calls_in_round(t), base.calls_in_round(t))
+              << "round " << t;
+        }
+      }
+      EXPECT_EQ(p.calls(), base.calls());
+      EXPECT_EQ(inner.b(), base_inner.b());
+      ExpectSameLogicalHistory(e.history(), eb.history());
+    }
+  }
+}
+
+// A probe whose Round is a pure function of its inputs — the neighbors'
+// broadcasts and its inbox — and its own value: with unchanged inputs it
+// re-stages the same broadcast, sends nothing and does not halt, so it
+// may sleep. Its value climbs toward a per-node cap through the largest
+// neighbor value plus one per message received; a change sends a
+// message, a node at its cap may halt, and some values are broadcast
+// silently, in three entries (past BroadcastStore::kInline), or in one.
+// The sleepy variant sleeps after every Round except on every sixth
+// node; its digests and every RoundStats field must equal the variant
+// that never sleeps.
+class WakeProbe : public distsim::Protocol {
+ public:
+  WakeProbe(NodeId n, bool sleepy)
+      : sleepy_(sleepy), x_(n, 0.0), digest_(n, 0x51ed270b27ddd1e1ULL) {}
+
+  void Init(NodeContext& ctx) override {
+    x_[ctx.id()] = static_cast<double>(ctx.id() % 7);
+    Emit(ctx);
+  }
+
+  void Round(NodeContext& ctx) override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    const NodeId v = ctx.id();
+    std::uint64_t& h = digest_[v];
+    double m = x_[v];
+    for (std::size_t i = 0; i < ctx.degree(); ++i) {
+      const distsim::BroadcastView b = ctx.NeighborBroadcast(i);
+      if (b && !b.empty()) m = std::max(m, b[0]);
+    }
+    for (const InMessage& msg : ctx.Messages()) {
+      h = MixDouble(Mix(h, msg.from), msg.payload[0]);
+      m += msg.payload[0];
+    }
+    const double cap = static_cast<double>(v % 13 + 3);
+    const double next = std::min(m, cap);
+    if (next != x_[v]) {
+      x_[v] = next;
+      h = MixDouble(Mix(h, static_cast<std::uint64_t>(ctx.round())), next);
+      if (v % 3 == 0 && ctx.degree() > 0) {
+        ctx.Send(ctx.neighbors()[0].to, {1.0});
+      }
+    }
+    if (next == cap && v % 4 == 0) {
+      h = Mix(h, 0xdeadULL);
+      ctx.Halt();
+      return;
+    }
+    Emit(ctx);
+    if (sleepy_ && v % 6 != 1) ctx.Sleep();
+  }
+
+  const std::vector<std::uint64_t>& digest() const { return digest_; }
+  std::uint64_t calls() const { return calls_.load(); }
+
+  bool SupportsRankCompute() const override { return true; }
+  void SaveNodeState(NodeId v, util::WireAppender& out) const override {
+    out.Double(x_[v]);
+    out.Fixed64(digest_[v]);
+  }
+  void LoadNodeState(NodeId v, util::WireReader& in) override {
+    WakeSleepers();
+    (void)(in.TryDouble(&x_[v]) && in.TryFixed64(&digest_[v]));
+  }
+
+ private:
+  void Emit(NodeContext& ctx) {
+    const NodeId v = ctx.id();
+    const double x = x_[v];
+    if (v % 5 == 0 && static_cast<int>(x) % 2 == 1) return;  // silent
+    if (x > 5.0) {
+      ctx.Broadcast({x, 1.0, 2.0});
+    } else {
+      ctx.Broadcast({x});
+    }
+  }
+
+  bool sleepy_;
+  std::vector<double> x_;
+  std::vector<std::uint64_t> digest_;
+  std::atomic<std::uint64_t> calls_{0};
+};
+
+constexpr int kWakeRounds = 30;
+
+graph::Graph WakeGraph() {
+  util::Rng rng(441);
+  return graph::PowerLawConfiguration(600, 2.3, 1, 60, rng);
+}
+
+TEST_P(TransportConformance, SleepingProbeMatchesAwakeProbe) {
+  const graph::Graph g = WakeGraph();
+  WakeProbe base(g.num_nodes(), /*sleepy=*/false);
+  Engine eb(g, 1);
+  RunRounds(eb, base, kWakeRounds);
+  ASSERT_GT(eb.num_halted(), 0u);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    WakeProbe awake(g.num_nodes(), /*sleepy=*/false);
+    Engine ea(g, threads);
+    ea.SetParallelCutoff(1);
+    UseTransport(ea, GetParam(), threads);
+    RunRounds(ea, awake, kWakeRounds);
+
+    WakeProbe sleepy(g.num_nodes(), /*sleepy=*/true);
+    Engine es(g, threads);
+    es.SetParallelCutoff(1);
+    UseTransport(es, GetParam(), threads);
+    RunRounds(es, sleepy, kWakeRounds);
+
+    // Not vacuous: sleeping skipped most Round calls.
+    EXPECT_LT(sleepy.calls() * 2, awake.calls());
+    EXPECT_EQ(awake.digest(), base.digest());
+    EXPECT_EQ(sleepy.digest(), base.digest());
+    ExpectSameLogicalHistory(ea.history(), eb.history());
+    ExpectSameRoundStats(es.history(), ea.history());
+    EXPECT_EQ(es.num_halted(), eb.num_halted());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(es.halted(v), eb.halted(v)) << "node " << v;
+    }
+  }
+}
+
+TEST(SleepWake, SleepingProbeMatchesAwakeProbeOnRanks) {
+  const graph::Graph g = WakeGraph();
+  for (int ranks : {1, 2, 3, 4}) {
+    // The awake in-engine reference at the same rank topology, so its
+    // fan-out counters are the analytic ones for these ranks.
+    WakeProbe base(g.num_nodes(), /*sleepy=*/false);
+    Engine eb(g, 1);
+    UseTransport(eb, TransportKind::kProcess, 1, ranks);
+    RunRounds(eb, base, kWakeRounds);
+    for (int threads : {1, 4}) {
+      for (bool sleepy : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "ranks=" << ranks << " threads="
+                                          << threads << " sleepy=" << sleepy);
+        WakeProbe p(g.num_nodes(), sleepy);
+        Engine e(g, threads);
+        e.SetParallelCutoff(1);
+        UseTransport(e, TransportKind::kProcess, threads, ranks);
+        e.SetPerRankCompute(true);
+        RunRounds(e, p, kWakeRounds);
+        e.FetchRankState(p);
+        EXPECT_EQ(p.digest(), base.digest());
+        ExpectSameRoundStats(e.history(), eb.history());
+        EXPECT_EQ(e.num_halted(), eb.num_halted());
+      }
+    }
+  }
+}
+
+// A state load between rounds wakes every sleeping node: a sleepy probe
+// whose values are overwritten mid-run must go on exactly like an awake
+// probe given the same load.
+TEST(SleepWake, StateLoadWakesSleepers) {
+  const graph::Graph g = WakeGraph();
+  const NodeId n = g.num_nodes();
+  std::vector<std::uint64_t> digests[2];
+  std::vector<RoundStats> histories[2];
+  for (bool sleepy : {false, true}) {
+    WakeProbe p(n, sleepy);
+    Engine e(g, 4);
+    e.SetParallelCutoff(1);
+    RunRounds(e, p, 12);
+    std::vector<std::uint8_t> blob;
+    for (NodeId v = 0; v < n; v += 2) {
+      blob.clear();
+      util::WireAppender out(blob);
+      out.Double(0.0);
+      out.Fixed64(v);
+      util::WireReader in(blob.data(), blob.size());
+      p.LoadNodeState(v, in);
+    }
+    for (int t = 0; t < 12; ++t) e.Step(p);
+    digests[sleepy] = p.digest();
+    histories[sleepy] = e.history();
+  }
+  EXPECT_EQ(digests[1], digests[0]);
+  ExpectSameRoundStats(histories[1], histories[0]);
+}
+
+// The bytes a rank worker's fan-out actually ships: a record (varint id,
+// varint length, the doubles) for a broadcast that changed and a
+// tombstone (varint id, varint 2^64 - 1) for one that went absent —
+// nothing for an unchanged one, whatever RoundStats' model count says.
+class StepUpProbe : public distsim::Protocol {
+ public:
+  void Init(NodeContext& ctx) override { Step(ctx); }
+  void Round(NodeContext& ctx) override {
+    if (ctx.id() == 2 && ctx.round() == 4) {
+      ctx.Halt();
+      return;
+    }
+    Step(ctx);
+  }
+  bool SupportsRankCompute() const override { return true; }
+  void SaveNodeState(NodeId, util::WireAppender&) const override {}
+  void LoadNodeState(NodeId, util::WireReader&) override {}
+
+ private:
+  // 0, 1, 2, 2, 2, ...
+  static void Step(NodeContext& ctx) {
+    ctx.Broadcast({static_cast<double>(std::min(ctx.round(), 2))});
+  }
+};
+
+TEST(PerRankCompute, ShippedFanOutBytesCountOnlyChanges) {
+  // Path 0-1-2-3 over 2 ranks: only the edge 1-2 crosses, so node 1
+  // ships to rank 1 and node 2 to rank 0, each when its broadcast
+  // changes (rounds 0, 1, 2), and node 2 a tombstone when it halts.
+  const graph::Graph g = graph::Path(4);
+  StepUpProbe p;
+  Engine e(g, 1);
+  UseTransport(e, TransportKind::kProcess, 1, 2);
+  e.SetPerRankCompute(true);
+  RunRounds(e, p, 6);
+  const auto& t = dynamic_cast<const ProcessTransport&>(e.transport());
+  const std::uint64_t record = distsim::WireBroadcastBytes(1, 1);
+  const std::uint64_t tombstone =
+      util::VarintSize(2) + util::VarintSize(~std::uint64_t{0});
+  EXPECT_EQ(record, 10u);
+  EXPECT_EQ(tombstone, 11u);
+  EXPECT_EQ(t.bcast_bytes_shipped(), 6 * record + tombstone);
+  // The model count: both present broadcasts every round until node 2
+  // halts in round 4, then node 1's alone.
+  EXPECT_EQ(e.totals().bcast_bytes_sent, 4 * 2 * record + 3 * record);
 }
 
 }  // namespace
