@@ -29,9 +29,8 @@
 // Changed stamps: one 32-bit stamp per node holds the Publish at which
 // its visible broadcast last changed. NodeContext::NeighborsUnchanged
 // reads it (VisibleUnchanged: present, and not changed at the latest
-// Publish) and the engine's wake-up pull reads it (ChangedAtLastPublish),
-// each O(1) per neighbor. Deliver, Retract, ClaimVisible and ClearVisible
-// stamp the node changed. (The stamps compare equal again after 2^32
+// Publish), O(1) per neighbor. Deliver, Retract, ClaimVisible and
+// ClearVisible stamp the node changed. (The stamps compare equal again after 2^32
 // rounds; no run comes near that.)
 //
 // Rank workers: an owner ships a remote rank its Pending changes — a
@@ -134,12 +133,6 @@ class BroadcastStore {
   // visible broadcast of the round before.
   bool VisibleUnchanged(graph::NodeId v) const {
     return changed_at_[v] != publishes_ && visible_[v].stamp != 0;
-  }
-
-  // Whether the latest Publish (or a Deliver, Retract, ClaimVisible or
-  // ClearVisible since) changed v's visible broadcast, presence included.
-  bool ChangedAtLastPublish(graph::NodeId v) const {
-    return changed_at_[v] == publishes_;
   }
 
   // Stages v's broadcast for the next round, replacing any earlier one

@@ -119,7 +119,7 @@ Engine::Engine(const graph::Graph& g, int num_threads)
       transport_(std::make_unique<SharedMemoryTransport>()) {
   const NodeId n = g.num_nodes();
   bcast_.Reset(n);
-  frontier_.Reset(n);
+  frontier_.Reset(0, n);
   outbox_.resize(n);
   inbox_.resize(n);
   halted_.assign(n, 0);
@@ -255,39 +255,62 @@ bool Engine::UseParallelPhases() const {
   return num_threads_ > 1 && graph_.num_nodes() >= parallel_cutoff_;
 }
 
-void Engine::ComputeRange(Protocol& p, NodeId begin, NodeId end, int round,
-                          std::size_t list, CollectPartial& part) {
-  const FanOutTable* fan = fan_.empty() ? nullptr : &fan_;
-  frontier_.Sweep(begin, end, graph_, bcast_, halted_.data(), [&](NodeId v) {
+void NodeRuntime::VisitRange(Protocol& p, int round, NodeId begin,
+                             NodeId end, const graph::Graph& g,
+                             BroadcastStore& store, Frontier& frontier,
+                             const std::vector<char>& halted,
+                             const std::vector<std::vector<OutMessage>>& outbox,
+                             std::size_t list, const FanOutTable* fan,
+                             RoundPartial& part) {
+  frontier.Sweep(begin, end, [&](NodeId v) {
     // A halted node is visited once more, the round after it halts, to
     // settle its broadcast absent.
-    if (!halted_[v]) {
-      NodeContext ctx = MakeContext(v, round, graph_.Neighbors(v), bcast_);
+    if (!halted[v]) {
+      NodeContext ctx = MakeContext(v, round, g.Neighbors(v), store);
       if (round == 0) {
         p.Init(ctx);
       } else {
         p.Round(ctx);
       }
-      if (halted_[v]) {
+      if (halted[v]) {
         ++part.halts;
-        frontier_.Wake(v);
+        frontier.Wake(v);
       } else if (!SleepRequested(ctx)) {
         ++part.awake;
-        frontier_.Wake(v);
+        frontier.Wake(v);
       }
-      for (const OutMessage& m : outbox_[v]) {
+      for (const OutMessage& m : outbox[v]) {
         ++part.p2p_messages;
         part.p2p_entries += m.payload.size();
         part.p2p_max_entries =
             std::max(part.p2p_max_entries, m.payload.size());
       }
     }
-    if (bcast_.Settle(v, list)) {
-      const std::size_t deg = graph_.Degree(v);
-      part.tally.Change(v, deg, bcast_.Visible(v), bcast_.Staged(v), fan);
-      part.changed_degree += deg;
+    if (store.Settle(v, list)) {
+      part.tally.Change(v, g.Degree(v), store.Visible(v), store.Staged(v),
+                        fan);
+      if (frontier.pushing()) frontier.Push(g, v);
     }
   });
+}
+
+void NodeRuntime::WakeForNextRound(
+    Frontier& frontier, const graph::Graph& g,
+    std::span<const NodeId> delivered,
+    const std::vector<std::vector<InMessage>>& inbox, bool any_p2p, NodeId lo,
+    NodeId hi, std::size_t sleepers) {
+  const bool pushed = frontier.pushing();
+  if (pushed && sleepers > 0) {
+    for (const NodeId u : delivered) frontier.Push(g, u);
+    if (any_p2p) {
+      for (NodeId v = lo; v < hi; ++v) {
+        if (!inbox[v].empty()) frontier.Wake(v);
+      }
+    }
+  }
+  frontier.EndRound(/*push=*/sleepers > 0);
+  // This round's changes woke nobody: visit every node once.
+  if (!pushed && sleepers > 0) frontier.WakeAll();
 }
 
 std::size_t Engine::MergeCensus(RoundStats& stats) {
@@ -297,7 +320,7 @@ std::size_t Engine::MergeCensus(RoundStats& stats) {
   std::size_t total_p2p = 0;
   std::size_t p2p_entries = 0;
   awake_next_ = 0;
-  for (const CollectPartial& part : partials_) {
+  for (const RoundPartial& part : partials_) {
     census_.Merge(part.tally);
     max_entries_per_message_ = std::max(
         {max_entries_per_message_, part.tally.max_entries,
@@ -402,40 +425,19 @@ void Engine::CollectRound(int round) {
 }
 
 void Engine::PublishRound(bool delivered_p2p) {
-  // Below this many changes, one thread applies them faster than a pool
-  // dispatch would.
-  constexpr std::size_t kParallelApply = 16384;
   const std::size_t lists = bcast_.num_lists();
-  std::size_t changes = 0;
-  std::uint64_t changed_degree = 0;
-  for (std::size_t l = 0; l < lists; ++l) changes += bcast_.Pending(l).size();
-  for (const CollectPartial& part : partials_) {
-    changed_degree += part.changed_degree;
-  }
-  if (lists > 1 && changes >= kParallelApply) {
+  if (lists > 1) {
     pool_->ParallelForDynamic(
         list_bounds_, [&](int, std::uint64_t begin, std::uint64_t end) {
           for (std::uint64_t l = begin; l < end; ++l) bcast_.ApplyChanges(l);
         });
+    bcast_.EndPublish();
   } else {
-    for (std::size_t l = 0; l < lists; ++l) bcast_.ApplyChanges(l);
+    bcast_.Publish();
   }
-  bcast_.EndPublish();
-
-  // Wake-ups for the nodes that sleep into the next round.
   const NodeId n = graph_.num_nodes();
-  const std::size_t sleepers = n - num_halted_ - awake_next_;
-  const std::uint64_t adjacency = n == 0 ? 0 : graph_.AdjOffset(n);
-  if (frontier_.Plan(sleepers, changed_degree, adjacency)) {
-    for (std::size_t l = 0; l < lists; ++l) {
-      frontier_.Push(graph_, bcast_.Changes(l), 0, n);
-    }
-  }
-  if (sleepers > 0 && delivered_p2p) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (!inbox_[v].empty()) frontier_.Wake(v);
-    }
-  }
+  WakeForNextRound(frontier_, graph_, {}, inbox_, delivered_p2p, 0, n,
+                   n - num_halted_ - awake_next_);
 }
 
 void Engine::ComputePhase(Protocol& p, int round) {
@@ -447,11 +449,13 @@ void Engine::ComputePhase(Protocol& p, int round) {
     sleep_generation_ = generation;
     frontier_.WakeAll();
   }
+  const FanOutTable* fan = fan_.empty() ? nullptr : &fan_;
   if (!UseParallelPhases()) {
     partials_.resize(1);
     partials_[0].Clear();
     bcast_.SetLists(1);
-    ComputeRange(p, 0, n, round, 0, partials_[0]);
+    VisitRange(p, round, 0, n, graph_, bcast_, frontier_, halted_, outbox_, 0,
+               fan, partials_[0]);
     return;
   }
   // Disjoint contiguous id chunks; per-node state writes never alias and
@@ -472,7 +476,7 @@ void Engine::ComputePhase(Protocol& p, int round) {
   const std::span<const std::uint64_t> chunks = ComputeChunks();
   const std::size_t num_chunks = chunks.size() - 1;
   partials_.resize(num_chunks);
-  for (CollectPartial& part : partials_) part.Clear();
+  for (RoundPartial& part : partials_) part.Clear();
   bcast_.SetLists(num_chunks);
   if (list_bounds_.size() != num_chunks + 1) {
     list_bounds_.resize(num_chunks + 1);
@@ -480,8 +484,10 @@ void Engine::ComputePhase(Protocol& p, int round) {
   }
   pool_->ParallelForDynamic(
       chunks, [&](int chunk, std::uint64_t begin, std::uint64_t end) {
-        ComputeRange(p, static_cast<NodeId>(begin), static_cast<NodeId>(end),
-                     round, static_cast<std::size_t>(chunk), partials_[chunk]);
+        VisitRange(p, round, static_cast<NodeId>(begin),
+                   static_cast<NodeId>(end), graph_, bcast_, frontier_, halted_,
+                   outbox_, static_cast<std::size_t>(chunk), fan,
+                   partials_[chunk]);
       });
 }
 

@@ -91,8 +91,9 @@
 //          over Unix-domain socketpairs; see docs/ARCHITECTURE.md and
 //          docs/TRANSPORTS.md for the rank topology and frame layout.
 //      The collect ends with the publish: the change lists' staged slots
-//      become visible (over the pool when there are many) — no sweep
-//      over n slots — and the changes wake their sleeping neighbors.
+//      become visible (one change list per pool task when the round ran
+//      in chunks) — no sweep over n slots. (A changed node already woke
+//      its sleeping neighbors during the compute sweep.)
 //      Broadcasts stay in the engine's store under every transport in
 //      this (default) in-engine compute mode (a rank worker keeps its
 //      own store of the same type for its slice plus the remote slots
@@ -214,6 +215,7 @@ struct Totals {
 };
 
 class NodeRuntime;
+class Protocol;
 
 // The per-node view handed to a protocol. Only local information is
 // reachable from here.
@@ -306,7 +308,7 @@ class NodeContext {
 // that holds just its node slice. The runtime hands each context its
 // node's adjacency and its BroadcastStore, which the context reads
 // directly; everything else goes through the virtuals. The virtuals
-// are private: only NodeContext may call them, and only a runtime may
+// are private: only NodeContext may call them, and only VisitRange may
 // mint contexts (MakeContext), so the locality guarantee cannot be
 // bypassed by holding a runtime pointer.
 class NodeRuntime {
@@ -314,6 +316,55 @@ class NodeRuntime {
   virtual ~NodeRuntime() = default;
 
  protected:
+  // One round's tally over the nodes a runtime visits — a compute
+  // chunk's in the engine, the owned slice's in a rank worker. Cache-line
+  // aligned: the engine's chunks update theirs concurrently.
+  struct alignas(64) RoundPartial {
+    BroadcastTally tally;  // census deltas of the changed broadcasts
+    std::size_t p2p_messages = 0;
+    std::size_t p2p_entries = 0;
+    std::size_t p2p_max_entries = 0;
+    // Live nodes that ran and did not sleep, and nodes that halted.
+    std::size_t awake = 0;
+    std::size_t halts = 0;
+
+    // Zeroes the partial, keeping the tally's storage.
+    void Clear() {
+      tally.Clear();
+      p2p_messages = p2p_entries = p2p_max_entries = 0;
+      awake = halts = 0;
+    }
+  };
+
+  // The two steps of the wake policy (NodeContext::Sleep, frontier.h),
+  // one body for the engine and the rank workers.
+  //
+  // VisitRange: the round's work on the nodes of [begin, end) the wake
+  // set holds. A live node runs Init (round 0) or Round; one that halts
+  // or does not sleep is woken for the next round (a halted one so that
+  // round settles its broadcast absent). Every visited node's broadcast
+  // settles into change list `list` of `store`; a change wakes the
+  // node's neighbors when the round pushes, and `part` takes its census
+  // (priced by `fan`, if any) and the node's staged p2p.
+  void VisitRange(Protocol& p, int round, NodeId begin, NodeId end,
+                  const graph::Graph& g, BroadcastStore& store,
+                  Frontier& frontier, const std::vector<char>& halted,
+                  const std::vector<std::vector<OutMessage>>& outbox,
+                  std::size_t list, const FanOutTable* fan,
+                  RoundPartial& part);
+  // WakeForNextRound: between rounds, once the round's p2p sits in
+  // `inbox` and, in a rank worker, the peers' records and tombstones have
+  // changed the remote nodes `delivered`: wakes the nodes of [lo, hi)
+  // next to a delivered change or holding a message, and ends the
+  // round. `sleepers`: the live nodes of [lo, hi) not awake next round;
+  // with none, nothing needs waking and the next round does not push.
+  static void WakeForNextRound(
+      Frontier& frontier, const graph::Graph& g,
+      std::span<const NodeId> delivered,
+      const std::vector<std::vector<InMessage>>& inbox, bool any_p2p,
+      NodeId lo, NodeId hi, std::size_t sleepers);
+
+ private:
   NodeContext MakeContext(NodeId id, int round,
                           std::span<const graph::AdjEntry> nbrs,
                           const BroadcastStore& bcast) noexcept {
@@ -322,7 +373,6 @@ class NodeRuntime {
   // Whether the round that used ctx asked to sleep (NodeContext::Sleep).
   static bool SleepRequested(const NodeContext& ctx) { return ctx.sleep_; }
 
- private:
   friend class NodeContext;
   virtual NodeId RtN() const = 0;
   virtual double RtWeightedDegree(NodeId v) const = 0;
@@ -377,8 +427,13 @@ class Protocol {
   // counter is process-wide, not per object: a decorating protocol
   // forwards LoadNodeState to the one it wraps, so the engine, which
   // only sees the decorator, could never read the inner object's count.
-  // A wake-up meant for another engine's protocol costs one full round,
-  // never a wrong result.
+  // The cost is shared too: each call makes the next round of EVERY
+  // engine and rank worker in the process visit all its nodes, whatever
+  // protocol it runs — one full round per call, never a wrong result.
+  // A process that loads state often beside a sleeping run (a
+  // coordinator calling FetchRankState every few rounds, several
+  // services in one process) pays that round at each load, and nothing
+  // reports it; SleepWake.UnrelatedStateLoadCostsOneFullRound pins it.
   static void WakeSleepers();
 };
 
@@ -543,38 +598,9 @@ class Engine : private NodeRuntime {
   // Rounds of RoundStats history reserved at Start().
   static constexpr std::size_t kHistoryReserve = 64;
 
-  // Per-chunk round accumulator, merged on the caller in chunk order:
-  // the census deltas of the chunk's changed broadcasts, its staged p2p
-  // traffic, and what the wake plan needs. Cache-line aligned: chunks on
-  // different threads update theirs concurrently.
-  struct alignas(64) CollectPartial {
-    BroadcastTally tally;
-    std::size_t p2p_messages = 0;
-    std::size_t p2p_entries = 0;
-    std::size_t p2p_max_entries = 0;
-    // Adjacency entries of the chunk's changed nodes (the push volume).
-    std::uint64_t changed_degree = 0;
-    // Live nodes that ran and did not sleep, and nodes that halted.
-    std::size_t awake = 0;
-    std::size_t halts = 0;
-
-    // Zeroes the partial, keeping the tally's storage.
-    void Clear() {
-      tally.Clear();
-      p2p_messages = p2p_entries = p2p_max_entries = 0;
-      changed_degree = 0;
-      awake = halts = 0;
-    }
-  };
-
   // Both phases shard iff the same predicate holds, so a run is either
   // wholly sequential or wholly pooled.
   bool UseParallelPhases() const;
-  // Runs Init/Round for the nodes of [begin, end) the round visits
-  // (Frontier::Sweep), settles their broadcasts into change list `list`,
-  // and takes their census into `part`.
-  void ComputeRange(Protocol& p, NodeId begin, NodeId end, int round,
-                    std::size_t list, CollectPartial& part);
   // Runs the round's compute sweep — sequentially, or in chunks over the
   // pool when num_threads_ > 1 and the graph clears the cutoff. Both
   // Start (round 0) and Step go through here.
@@ -582,8 +608,9 @@ class Engine : private NodeRuntime {
   // Merges the census partials into the running tally and stats; returns
   // the number of staged p2p messages. Delivery is the transport's job.
   std::size_t MergeCensus(RoundStats& stats);
-  // Makes the round's changes visible (over the pool when there are
-  // many) and plans which sleeping nodes they wake.
+  // Makes the round's changes visible (one change list per pool task
+  // when the round ran in chunks), wakes the sleeping recipients of p2p
+  // messages, and ends the round's wake set.
   void PublishRound(bool delivered_p2p);
   // Parallel rounds that staged p2p: fills the per-(shard, receiver)
   // count rows of p2p_offsets_ and shard_sent_ over ActiveBounds.
@@ -686,7 +713,7 @@ class Engine : private NodeRuntime {
   // the same ids every round, so each partial reaches its high-water
   // mark whichever thread runs it — and {0, 1, ..., chunks}, the
   // partition that applies one change list per pool task.
-  std::vector<CollectPartial> partials_;
+  std::vector<RoundPartial> partials_;
   std::vector<std::uint64_t> list_bounds_;
 
   // Per-node RNG streams behind NodeContext::Rng, keyed forks of

@@ -386,7 +386,7 @@ class SliceRuntime final : public NodeRuntime {
   // visible one once, from its owner).
   FanOutTable fan_;
   BroadcastCensus census_;
-  BroadcastTally tally_;  // this round's changes
+  RoundPartial partial_;  // this round's visits
   std::uint64_t bcast_received_ = 0;
   // Remote nodes whose broadcast a peer changed this round.
   std::vector<NodeId> remote_changes_;
@@ -465,7 +465,7 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
 
   fan_.Build(slice_, rank_bounds_.data(), lo_, hi_);
   bcast_.Reset(n_);
-  frontier_.Reset(n_);
+  frontier_.Reset(lo_, hi_);
   halted_.assign(n_, 0);
   outbox_.resize(n_);
   inbox_.resize(n_);
@@ -511,39 +511,14 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   // in-engine census exactly). Sleeping nodes keep contributing their
   // unchanged broadcasts through the running tally.
   const std::size_t active = (hi_ - lo_) - halted_count_;
-  std::size_t p2p_messages = 0, p2p_entries = 0, max_entries = 0;
-  std::size_t awake = 0;
-  std::uint64_t changed_degree = 0;
-  tally_.Clear();
-  frontier_.Sweep(lo_, hi_, slice_, bcast_, halted_.data(), [&](NodeId v) {
-    if (!halted_[v]) {
-      NodeContext ctx = MakeContext(v, round, slice_.Neighbors(v), bcast_);
-      if (round == 0) {
-        protocol_->Init(ctx);
-      } else {
-        protocol_->Round(ctx);
-      }
-      if (halted_[v]) {
-        ++halted_count_;
-        frontier_.Wake(v);
-      } else if (!SleepRequested(ctx)) {
-        ++awake;
-        frontier_.Wake(v);
-      }
-      for (const OutMessage& m : outbox_[v]) {
-        ++p2p_messages;
-        p2p_entries += m.payload.size();
-        max_entries = std::max(max_entries, m.payload.size());
-      }
-    }
-    if (bcast_.Settle(v, 0)) {
-      const std::size_t deg = slice_.Degree(v);
-      tally_.Change(v, deg, bcast_.Visible(v), bcast_.Staged(v), &fan_);
-      changed_degree += deg;
-    }
-  });
-  census_.Merge(tally_);
-  max_entries = std::max(max_entries, tally_.max_entries);
+  partial_.Clear();
+  VisitRange(*protocol_, round, lo_, hi_, slice_, bcast_, frontier_, halted_,
+             outbox_, 0, &fan_, partial_);
+  halted_count_ += partial_.halts;
+  census_.Merge(partial_.tally);
+  const std::size_t p2p_messages = partial_.p2p_messages;
+  const std::size_t max_entries =
+      std::max(partial_.p2p_max_entries, partial_.tally.max_entries);
 
   // 2a. Pack this rank's p2p segments (shared codec — encodings, and
   // therefore the byte accounting, identical to the in-engine path).
@@ -692,19 +667,11 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
       !track_quiescence_ || p2p_received > 0 || bcast_.PublishedDiffers();
 
   // 7. Wake-ups for the owned nodes that sleep into the next round: a
-  // changed owned node wakes its owned neighbors, a changed remote node
-  // all of its slice neighbors (every one is owned).
-  const std::size_t sleepers = (hi_ - lo_) - halted_count_ - awake;
-  for (const NodeId u : remote_changes_) changed_degree += slice_.Degree(u);
-  if (frontier_.Plan(sleepers, changed_degree, slice_.AdjOffset(n_))) {
-    frontier_.Push(slice_, bcast_.Changes(0), lo_, hi_);
-    frontier_.Push(slice_, remote_changes_, lo_, hi_);
-  }
-  if (sleepers > 0 && p2p_received > 0) {
-    for (NodeId v = lo_; v < hi_; ++v) {
-      if (!inbox_[v].empty()) frontier_.Wake(v);
-    }
-  }
+  // changed remote node wakes all of its slice neighbors (every one is
+  // owned), as a changed owned node did during the compute sweep.
+  WakeForNextRound(frontier_, slice_, remote_changes_, inbox_,
+                   p2p_received > 0, lo_, hi_,
+                   (hi_ - lo_) - halted_count_ - partial_.awake);
 
   // 8. The stats-partial reply. Distinct values travel as a sorted
   // bit-pattern list so the parent can union them exactly.
@@ -716,7 +683,7 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   util::WireAppender a(reply);
   a.Varint(active);
   a.Varint(census_.messages + p2p_messages);
-  a.Varint(census_.entries + p2p_entries);
+  a.Varint(census_.entries + partial_.p2p_entries);
   a.Varint(max_entries);
   a.Varint(p2p_sent);
   a.Varint(p2p_received);

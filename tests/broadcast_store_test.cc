@@ -149,7 +149,7 @@ TEST(BroadcastStoreChangedFlags, ChangeListsHoldExactlyTheChangedNodes) {
   EXPECT_TRUE(s.Pending(0).empty());
   EXPECT_EQ(s.Changes(1).size(), 2u);
   for (graph::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(s.ChangedAtLastPublish(v));
+    EXPECT_FALSE(s.VisibleUnchanged(v));
   }
 
   s.Stage(0, std::vector<double>{0.0});  // same
@@ -163,13 +163,12 @@ TEST(BroadcastStoreChangedFlags, ChangeListsHoldExactlyTheChangedNodes) {
   s.Publish();
   EXPECT_EQ(s.Changes(0).size(), 1u);
   EXPECT_EQ(s.Changes(1).size(), 1u);
-  EXPECT_FALSE(s.ChangedAtLastPublish(0));
   EXPECT_TRUE(s.VisibleUnchanged(0));
-  EXPECT_TRUE(s.ChangedAtLastPublish(1));
+  EXPECT_FALSE(s.VisibleUnchanged(1));
   EXPECT_EQ(s.Visible(1).size(), 3u);
   EXPECT_EQ(s.Visible(1)[2], 7.0);
   EXPECT_FALSE(s.Visible(2).present());
-  EXPECT_TRUE(s.ChangedAtLastPublish(2));
+  EXPECT_FALSE(s.VisibleUnchanged(2));
   EXPECT_TRUE(s.VisibleUnchanged(3));
   EXPECT_EQ(s.Visible(3)[0], 3.0);
 
@@ -178,7 +177,7 @@ TEST(BroadcastStoreChangedFlags, ChangeListsHoldExactlyTheChangedNodes) {
   s.Publish();
   EXPECT_TRUE(s.Changes(0).empty());
   EXPECT_TRUE(s.Changes(1).empty());
-  EXPECT_FALSE(s.ChangedAtLastPublish(2));
+  EXPECT_FALSE(s.Visible(2).present());
 }
 
 TEST(BroadcastStoreChangedFlags, ClaimAndClearVisibleMarkChanged) {
@@ -272,14 +271,12 @@ TEST(BroadcastStoreChangedFlags, RemoteSlotKeptAcrossManyPublishes) {
   for (int t = 0; t < 1100; ++t) {
     s.Publish();
     ASSERT_TRUE(s.VisibleUnchanged(0)) << "round " << t;
-    ASSERT_FALSE(s.ChangedAtLastPublish(0)) << "round " << t;
     ASSERT_EQ(s.Visible(0).size(), 3u) << "round " << t;
     ASSERT_EQ(s.Visible(0)[2], 5.0) << "round " << t;
   }
   s.Publish();
   s.Deliver(0, std::vector<double>{3.0, 4.0, 6.0});
   EXPECT_FALSE(s.VisibleUnchanged(0));
-  EXPECT_TRUE(s.ChangedAtLastPublish(0));
   EXPECT_EQ(s.Visible(0)[2], 6.0);
 }
 
@@ -302,12 +299,10 @@ TEST(BroadcastStoreChangedFlags, AbsentGhostStaysAbsent) {
   s.Retract(0);
   EXPECT_FALSE(s.Visible(0).present());
   EXPECT_FALSE(s.VisibleUnchanged(0));
-  EXPECT_TRUE(s.ChangedAtLastPublish(0));
   for (int t = 0; t < 600; ++t) {
     s.Publish();
     ASSERT_FALSE(s.Visible(0).present()) << "round " << t;
     ASSERT_FALSE(s.VisibleUnchanged(0)) << "round " << t;
-    ASSERT_FALSE(s.ChangedAtLastPublish(0)) << "round " << t;
   }
   // Back with the value it had before: present again, and changed.
   s.Publish();

@@ -1803,6 +1803,47 @@ TEST(SleepWake, StateLoadWakesSleepers) {
   ExpectSameRoundStats(histories[1], histories[0]);
 }
 
+// Protocol::WakeSleepers is process-wide: a state load into an unrelated
+// protocol makes a converged compact run's next round visit every node —
+// once — and changes no result.
+TEST(SleepWake, UnrelatedStateLoadCostsOneFullRound) {
+  util::Rng rng(9);
+  const graph::Graph g = graph::WithIntegerWeights(
+      graph::PowerLawConfiguration(1500, 2.3, 2, 150, rng), 4, rng);
+  const NodeId n = g.num_nodes();
+  constexpr int kRounds = 40;
+  constexpr int kLoadAfter = 36;
+  core::CompactOptions opts;
+  opts.rounds = kRounds;
+
+  core::CompactElimination base(g, opts);
+  Engine eb(g, 1);
+  RunRounds(eb, base, kRounds);
+
+  core::CompactElimination inner(g, opts);
+  RoundCounter p(inner, n, kRounds);
+  Engine e(g, 4);
+  e.SetParallelCutoff(1);
+  RunRounds(e, p, kLoadAfter);
+  ASSERT_EQ(p.calls_in_round(kLoadAfter), 0u) << "the run did not converge";
+
+  // A round trip of one node's state through another protocol object.
+  core::CompactElimination other(g, opts);
+  std::vector<std::uint8_t> blob;
+  util::WireAppender out(blob);
+  other.SaveNodeState(0, out);
+  util::WireReader in(blob.data(), blob.size());
+  other.LoadNodeState(0, in);
+
+  for (int t = kLoadAfter + 1; t <= kRounds; ++t) e.Step(p);
+  EXPECT_EQ(p.calls_in_round(kLoadAfter + 1), n);
+  for (int t = kLoadAfter + 2; t <= kRounds; ++t) {
+    EXPECT_EQ(p.calls_in_round(t), 0u) << "round " << t;
+  }
+  EXPECT_EQ(inner.b(), base.b());
+  ExpectSameRoundStats(e.history(), eb.history());
+}
+
 // The bytes a rank worker's fan-out actually ships: a record (varint id,
 // varint length, the doubles) for a broadcast that changed and a
 // tombstone (varint id, varint 2^64 - 1) for one that went absent —
